@@ -17,8 +17,6 @@ import heapq
 import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
 from repro.controller.row_policy import make_row_policy
@@ -110,7 +108,6 @@ class MemoryController:
         self._event_seq = itertools.count()
         self.stats = ControllerStats()
         self._num_ranks = num_ranks
-        self._last_issue_cycle = -1
         self._issue_count = 0
         self._forward_count = 0
         self._wake_cache: Optional[Tuple[Tuple[int, int, int, int], int]] \
@@ -184,7 +181,7 @@ class MemoryController:
 
         blocked = self._refresh_step(cycle)
         if blocked is None:
-            self._note_issue(cycle)
+            self._note_issue()
             return  # a refresh-related command was issued this cycle
 
         queue = self._select_queue()
@@ -193,13 +190,13 @@ class MemoryController:
                                              blocked)
             if decision is not None:
                 self._execute(decision, queue, cycle)
-                self._note_issue(cycle)
+                self._note_issue()
                 return
 
         if self._pending_pre and self._issue_pending_pre(cycle, blocked):
-            self._note_issue(cycle)
+            self._note_issue()
 
-    def _note_issue(self, cycle: int) -> None:
+    def _note_issue(self) -> None:
         """Record a command issue and sample queue occupancy.
 
         Issue-time sampling (instead of the old ``cycle & 63`` wall
@@ -207,7 +204,6 @@ class MemoryController:
         engine visits, so dense and event runs report identical
         occupancies.
         """
-        self._last_issue_cycle = cycle
         self._issue_count += 1
         self.read_q.sample_occupancy()
         self.write_q.sample_occupancy()
@@ -230,8 +226,6 @@ class MemoryController:
         tests/integration/test_scenario_matrix.py::TestMultiRankWakeBid
         and the scenario parity grid).
         """
-        if self._last_issue_cycle == cycle:
-            return self._post_issue_bid(cycle)
         # All the timing state this bid derives from changes only on
         # command issues, queue pushes/removals, or write-forwards, so
         # a bid computed earlier stays valid until one of those version
@@ -292,64 +286,6 @@ class MemoryController:
         nxt = nxt if nxt > cycle else cycle + 1
         self._wake_cache = (key, nxt)
         return nxt
-
-    def _post_issue_bid(self, cycle: int) -> int:
-        """Cheap bank-state-only bid for the cycle a command issued on.
-
-        The full scan above runs the scheduler's exact ready-time
-        computation; right after an issue that cost is wasted because
-        the freshly-claimed command bus and bank timings gate everything
-        anyway.  This bid instead takes per-bank timing registers only
-        (ignoring tFAW, data-bus and rank-switch constraints, which can
-        only push commands *later*), so every component is still a
-        valid lower bound on the controller's next observable action:
-
-        * read completions are exact (`_read_events` head);
-        * a rank whose refresh is already due may need a PRE/REF as
-          soon as next cycle, so bid ``cycle + 1`` (rare, and the full
-          scan takes over at the visited cycle);
-        * for every bank the selected queue or the pending-PRE set
-          could touch, the earliest command is gated by ``next_act``
-          (closed bank) or ``min(next_rd, next_wr, next_pre)`` (open
-          bank: column command on a row hit, PRE on a miss), maxed
-          with the command-bus gate `next_cmd`;
-        * the mechanism sweep bid is the mechanism's own contract.
-
-        Underestimates cost one extra visited cycle (the engine
-        recomputes the exact bid there); overestimates would break
-        dense/event parity, which the dense-stepping regression test
-        (tests/integration/test_wake_bids.py) pins.
-        """
-        nxt = NEVER
-        if self._read_events:
-            nxt = self._read_events[0][0]
-        for rank_idx in range(self._num_ranks):
-            due = self.refresh.next_due(rank_idx)
-            if due <= cycle:
-                return cycle + 1
-            if due < nxt:
-                nxt = due
-        t = self.mechanism.next_wake(cycle)
-        if t < nxt:
-            nxt = t
-        channel = self.channel
-        queue = self._select_queue()
-        candidates = set(queue.banks())
-        candidates.update(self._pending_pre)
-        if candidates:
-            arrays = channel.bank_arrays
-            flat = arrays.flat_index
-            idx = np.fromiter((flat(r, b) for r, b in candidates),
-                              dtype=np.int64, count=len(candidates))
-            col = np.minimum(np.minimum(arrays.next_rd[idx],
-                                        arrays.next_wr[idx]),
-                             arrays.next_pre[idx])
-            gates = np.where(arrays.open_row[idx] >= 0, col,
-                             arrays.next_act[idx])
-            t = max(int(gates.min()), channel.next_cmd)
-            if t < nxt:
-                nxt = t
-        return nxt if nxt > cycle else cycle + 1
 
     # ------------------------------------------------------------------
     # Refresh handling

@@ -8,7 +8,7 @@ line address; reads may be served by forwarding from a queued write
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, ItemsView, Iterator, List, Optional, Tuple
 
 from repro.controller.request import Request
 
@@ -17,9 +17,11 @@ class RequestQueue:
     """FIFO-ordered bounded queue indexed by line address.
 
     Besides the arrival-order list, the queue maintains per-(rank,
-    bank) and per-(rank, bank, row) request counts incrementally, so
-    row-policy checks and the event engine's earliest-ready queries run
-    in O(distinct banks) instead of rescanning every entry.
+    bank) arrival-order lists and per-(rank, bank, row) request counts
+    incrementally, so the FR-FCFS scan, row-policy checks and the event
+    engine's earliest-ready queries run in O(distinct banks) instead of
+    rescanning every entry.  Each push stamps the request's
+    ``arrival`` sequence number, which orders requests across banks.
     """
 
     def __init__(self, capacity: int):
@@ -28,8 +30,9 @@ class RequestQueue:
         self.capacity = capacity
         self._items: List[Request] = []
         self._by_line: Dict[int, Request] = {}
-        self._bank_count: Dict[Tuple[int, int], int] = {}
+        self._by_bank: Dict[Tuple[int, int], List[Request]] = {}
         self._row_count: Dict[Tuple[int, int, int], int] = {}
+        self._next_arrival = 0
         #: Bumped on every push/remove; lets the event engine cache
         #: earliest-ready computations between content changes.
         self.version = 0
@@ -65,10 +68,16 @@ class RequestQueue:
         if self.is_full:
             return False
         request.enqueue_cycle = cycle
+        request.arrival = self._next_arrival
+        self._next_arrival += 1
         self._items.append(request)
         self._by_line[request.line_address] = request
         bank_key = (request.rank, request.bank)
-        self._bank_count[bank_key] = self._bank_count.get(bank_key, 0) + 1
+        bank_requests = self._by_bank.get(bank_key)
+        if bank_requests is None:
+            self._by_bank[bank_key] = [request]
+        else:
+            bank_requests.append(request)
         row_key = (request.rank, request.bank, request.row)
         self._row_count[row_key] = self._row_count.get(row_key, 0) + 1
         self.version += 1
@@ -91,11 +100,10 @@ class RequestQueue:
         if self._by_line.get(request.line_address) is request:
             del self._by_line[request.line_address]
         bank_key = (request.rank, request.bank)
-        left = self._bank_count[bank_key] - 1
-        if left:
-            self._bank_count[bank_key] = left
-        else:
-            del self._bank_count[bank_key]
+        bank_requests = self._by_bank[bank_key]
+        bank_requests.remove(request)
+        if not bank_requests:
+            del self._by_bank[bank_key]
         row_key = (request.rank, request.bank, request.row)
         left = self._row_count[row_key] - 1
         if left:
@@ -104,18 +112,9 @@ class RequestQueue:
             del self._row_count[row_key]
         self.version += 1
 
-    def has_row_hit(self, channel_state) -> bool:
-        """Any queued request targeting a currently open row?"""
-        for (rank, bank), _count in self._bank_count.items():
-            open_row = channel_state.bank(rank, bank).open_row
-            if open_row is not None and \
-                    (rank, bank, open_row) in self._row_count:
-                return True
-        return False
-
     def requests_for_bank(self, rank: int, bank: int) -> int:
         """Count queued requests to a specific (rank, bank)."""
-        return self._bank_count.get((rank, bank), 0)
+        return len(self._by_bank.get((rank, bank), ()))
 
     def requests_for_row(self, rank: int, bank: int, row: int) -> int:
         """Count queued requests to a specific (rank, bank, row)."""
@@ -123,7 +122,12 @@ class RequestQueue:
 
     def banks(self) -> Iterator[Tuple[int, int]]:
         """The distinct (rank, bank) pairs with queued requests."""
-        return iter(self._bank_count)
+        return iter(self._by_bank)
+
+    def bank_requests(self) -> ItemsView[Tuple[int, int], List[Request]]:
+        """``((rank, bank), requests)`` per distinct queued bank, with
+        each bank's requests in arrival order."""
+        return self._by_bank.items()
 
     def sample_occupancy(self) -> None:
         self.occupancy_accum += len(self._items)

@@ -27,6 +27,8 @@ class Request:
         channel/rank/bank/row/column: decoded DRAM coordinates, filled
             in by the controller's address mapper at enqueue time.
         enqueue_cycle: bus cycle the request entered its queue.
+        arrival: the queue's arrival sequence number for this request
+            (strictly increasing in push order; FR-FCFS ties break on it).
         issue_cycle: bus cycle its column command was issued (-1 before).
         done_cycle: bus cycle the data transfer completed (-1 before).
         needed_act: True when servicing required a row activation (i.e.
@@ -38,8 +40,8 @@ class Request:
 
     __slots__ = ("id", "line_address", "type", "core_id", "channel",
                  "rank", "bank", "row", "column", "enqueue_cycle",
-                 "issue_cycle", "done_cycle", "needed_act", "act_was_hit",
-                 "callback")
+                 "arrival", "issue_cycle", "done_cycle", "needed_act",
+                 "act_was_hit", "callback")
 
     def __init__(self, line_address: int, type: RequestType,
                  core_id: int = 0,
@@ -54,6 +56,7 @@ class Request:
         self.row = -1
         self.column = -1
         self.enqueue_cycle = -1
+        self.arrival = -1
         self.issue_cycle = -1
         self.done_cycle = -1
         self.needed_act = False

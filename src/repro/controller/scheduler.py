@@ -43,81 +43,116 @@ def required_command(request: Request, channel: Channel) -> Command:
 
 
 class FRFCFSScheduler:
-    """First-ready FCFS over one request queue."""
+    """First-ready FCFS over one request queue.
+
+    Requests that share a bank share its timing state, so readiness is
+    computed once per distinct queued bank, not once per request.  A
+    bank serves two kinds of request: row hits (its open row, via the
+    column command) and row misses (PRE when another row is open, ACT
+    when the bank is closed).  :meth:`_scan` walks the queue's banks
+    once, recording for each kind the gate of its command and the
+    oldest request it serves; :meth:`choose` and
+    :meth:`next_ready_cycle` both read that table.
+
+    The table depends only on queue contents and channel timing state,
+    not on the cycle, so it is kept until either moves: every push or
+    removal bumps ``queue.version`` and every command issue advances
+    ``channel.next_cmd``.  (Registers changed behind the channel's back,
+    by calling ``Bank.do_*`` directly, are not seen.)
+    """
 
     name = "frfcfs"
+
+    def __init__(self):
+        self._scan_key = None
+        self._table = None
 
     def choose(self, queue, channel: Channel, cycle: int,
                blocked_ranks=()) -> Optional[SchedulerDecision]:
         """Pick the command to issue at ``cycle``, or None.
 
-        ``blocked_ranks`` lists ranks currently reserved for refresh;
-        no new command is scheduled to them.
+        The oldest request with a ready row-hit column command wins;
+        otherwise the oldest request whose row command (PRE or ACT) is
+        ready.  ``blocked_ranks`` lists ranks currently reserved for
+        refresh; no new command is scheduled to them.
         """
-        # Pass 1: oldest ready row-hit column command.
-        for req in queue:
-            if req.rank in blocked_ranks:
-                continue
-            bank = channel.bank(req.rank, req.bank)
-            if bank.open_row != req.row:
-                continue
-            cmd = Command.RD if req.is_read else Command.WR
-            if channel.can_issue(cmd, req.rank, req.bank, cycle):
-                return SchedulerDecision(req, cmd)
-        # Pass 2: oldest request whose required row command is ready.
-        for req in queue:
-            if req.rank in blocked_ranks:
-                continue
-            cmd = required_command(req, channel)
-            if cmd.is_column:
-                continue  # handled (or timing-blocked) in pass 1
-            if channel.can_issue(cmd, req.rank, req.bank, cycle):
-                return SchedulerDecision(req, cmd)
+        hits, misses, _ = self._scan(queue, channel, blocked_ranks)
+        for entries in (hits, misses):
+            best = best_cmd = None
+            for gate, req, cmd in entries:
+                if gate <= cycle and (best is None
+                                      or req.arrival < best.arrival):
+                    best, best_cmd = req, cmd
+            if best is not None:
+                return SchedulerDecision(best, best_cmd)
         return None
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
                          blocked_ranks=()) -> int:
         """Earliest cycle at which :meth:`choose` could return non-None.
 
-        FR-FCFS considers every queued request each cycle, so the bound
-        is the minimum earliest-issue cycle over each request's
-        currently required command.  Requests sharing a bank share
-        timing state, so the scan runs over the queue's per-bank
-        aggregates (O(distinct banks), not O(requests)): a bank's
-        candidates are the column command when some request hits the
-        open row, PRE when some request conflicts with it, and ACT when
-        the bank is closed.  The result is a *lower* bound, valid until
-        the next command issue or enqueue (the event engine recomputes
-        after both): waking early and finding nothing to do is exactly
-        what the dense engine does on every idle cycle.
+        The minimum gate over every unblocked queued bank's required
+        commands.  The result is a *lower* bound, valid until the next
+        command issue or enqueue (the event engine recomputes after
+        both): waking early and finding nothing to do is exactly what
+        the dense engine does on every idle cycle.
         """
-        best = NEVER
+        del cycle  # the gates do not depend on it
+        return self._scan(queue, channel, blocked_ranks)[2]
+
+    def _scan(self, queue, channel: Channel, blocked_ranks):
+        """``(hits, misses, gate)`` over the unblocked queued banks.
+
+        ``hits`` holds ``(gate, oldest row-hit request, RD or WR)`` and
+        ``misses`` ``(gate, oldest row-miss request, PRE or ACT)``, one
+        entry per bank that has such requests; ``gate`` is the earliest
+        of all of them (``NEVER`` when there are none).
+        """
+        key = (queue, queue.version, channel, channel.next_cmd,
+               frozenset(blocked_ranks))
+        if key == self._scan_key:
+            return self._table
+        arrays = channel.bank_arrays
+        open_rows = arrays.open_row
+        banks_per_rank = arrays.banks_per_rank
+        earliest = channel.earliest
         col_cmd = None
-        for rank, bank in queue.banks():
+        hits = []
+        misses = []
+        best = NEVER
+        for (rank, bank), requests in queue.bank_requests():
             if rank in blocked_ranks:
                 continue  # reserved for refresh; refresh wake-ups cover it
-            open_row = channel.bank(rank, bank).open_row
-            if open_row is None:
-                t = channel.earliest(Command.ACT, rank, bank)
+            open_row = open_rows[rank * banks_per_rank + bank]
+            if open_row < 0:
+                gate = earliest(Command.ACT, rank, bank)
+                misses.append((gate, requests[0], Command.ACT))
             else:
-                hits = queue.requests_for_row(rank, bank, open_row)
-                if hits:
+                n_hits = queue.requests_for_row(rank, bank, open_row)
+                gate = NEVER
+                if n_hits:
                     if col_cmd is None:
                         # Queues are homogeneous (one per direction).
-                        first = next(iter(queue))
-                        col_cmd = Command.WR if first.is_write else Command.RD
-                    t = channel.earliest(col_cmd, rank, bank)
-                else:
-                    t = NEVER
-                if hits < queue.requests_for_bank(rank, bank):
-                    t_pre = channel.earliest(Command.PRE, rank, bank)
-                    if t_pre < t:
-                        t = t_pre
-            if t < best:
-                best = t
-                if best <= cycle + 1:
-                    break  # cannot get any earlier than "next cycle"
-        return best
+                        col_cmd = Command.WR if requests[0].is_write \
+                            else Command.RD
+                    gate = earliest(col_cmd, rank, bank)
+                    for req in requests:
+                        if req.row == open_row:
+                            break
+                    hits.append((gate, req, col_cmd))
+                if n_hits < len(requests):
+                    pre_gate = earliest(Command.PRE, rank, bank)
+                    for req in requests:
+                        if req.row != open_row:
+                            break
+                    misses.append((pre_gate, req, Command.PRE))
+                    if pre_gate < gate:
+                        gate = pre_gate
+            if gate < best:
+                best = gate
+        self._scan_key = key
+        self._table = (hits, misses, best)
+        return self._table
 
 
 class FCFSScheduler:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-import numpy as np
-
 from repro.dram.timing import TimingParameters, ReducedTimings
 
 
@@ -35,14 +33,15 @@ class BankTimingArrays:
 
     One instance spans all banks of a channel (ranks x banks_per_rank,
     rank-major), so bank scans — "earliest PRE over the open banks of
-    rank r", the controller's cheap wake-bid gate, "are all banks
-    closed" — are single vectorized reductions instead of Python loops
-    over :class:`Bank` objects.
+    rank r", "are all banks closed", the scheduler's per-bank gates —
+    index flat lists instead of walking :class:`Bank` objects.  They
+    are plain Python lists because the registers are read one or a few
+    at a time on the scheduler's hot path: a list read returns a
+    Python int directly, where an array scalar read costs ~10x as much
+    and must be cast back to ``int``.
 
     ``open_row`` uses -1 as the "closed" sentinel (rows are
-    non-negative).  All arrays are int64; scalar reads through the
-    :class:`Bank` view cast back to Python ints so numpy scalars never
-    leak into results or JSON.
+    non-negative).
     """
 
     __slots__ = ("size", "banks_per_rank", "next_act", "next_pre",
@@ -51,14 +50,11 @@ class BankTimingArrays:
     def __init__(self, size: int, banks_per_rank: Optional[int] = None):
         self.size = size
         self.banks_per_rank = banks_per_rank if banks_per_rank else size
-        self.next_act = np.zeros(size, dtype=np.int64)
-        self.next_pre = np.zeros(size, dtype=np.int64)
-        self.next_rd = np.zeros(size, dtype=np.int64)
-        self.next_wr = np.zeros(size, dtype=np.int64)
-        self.open_row = np.full(size, -1, dtype=np.int64)
-
-    def flat_index(self, rank: int, bank: int) -> int:
-        return rank * self.banks_per_rank + bank
+        self.next_act = [0] * size
+        self.next_pre = [0] * size
+        self.next_rd = [0] * size
+        self.next_wr = [0] * size
+        self.open_row = [-1] * size
 
 
 class Bank:
@@ -102,7 +98,7 @@ class Bank:
     @property
     def open_row(self) -> Optional[int]:
         row = self.arrays.open_row[self.index]
-        return None if row < 0 else int(row)
+        return None if row < 0 else row
 
     @open_row.setter
     def open_row(self, value: Optional[int]) -> None:
@@ -110,7 +106,7 @@ class Bank:
 
     @property
     def next_act(self) -> int:
-        return int(self.arrays.next_act[self.index])
+        return self.arrays.next_act[self.index]
 
     @next_act.setter
     def next_act(self, value: int) -> None:
@@ -118,7 +114,7 @@ class Bank:
 
     @property
     def next_pre(self) -> int:
-        return int(self.arrays.next_pre[self.index])
+        return self.arrays.next_pre[self.index]
 
     @next_pre.setter
     def next_pre(self, value: int) -> None:
@@ -126,7 +122,7 @@ class Bank:
 
     @property
     def next_rd(self) -> int:
-        return int(self.arrays.next_rd[self.index])
+        return self.arrays.next_rd[self.index]
 
     @next_rd.setter
     def next_rd(self, value: int) -> None:
@@ -134,7 +130,7 @@ class Bank:
 
     @property
     def next_wr(self) -> int:
-        return int(self.arrays.next_wr[self.index])
+        return self.arrays.next_wr[self.index]
 
     @next_wr.setter
     def next_wr(self, value: int) -> None:
@@ -228,14 +224,6 @@ class Bank:
         if self.open_row is not None:
             raise RuntimeError("REF issued while a bank row is open")
         self.next_act = max(self.next_act, until_cycle)
-
-    def column_gate(self, cycle: int, gate: int) -> None:
-        """Raise the earliest RD/WR cycle (bus-level tCCD/turnaround)."""
-        if gate > self.next_rd:
-            self.next_rd = gate
-        if gate > self.next_wr:
-            self.next_wr = gate
-        del cycle  # kept for interface symmetry
 
     # ------------------------------------------------------------------
 

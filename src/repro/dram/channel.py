@@ -38,7 +38,7 @@ class Channel:
         self.timing = timing
         self.index = index
         # One struct-of-arrays block spans every bank of the channel
-        # (rank-major), so rank/channel-wide scans are vector reductions.
+        # (rank-major), so rank/channel-wide scans index flat lists.
         self.bank_arrays = BankTimingArrays(num_ranks * num_banks,
                                             banks_per_rank=num_banks)
         self.ranks: List[Rank] = [
@@ -75,14 +75,14 @@ class Channel:
             if arrays.open_row[flat] >= 0:
                 raise RuntimeError(
                     "ACT issued to an open bank; PRE required first")
-            gate = max(int(arrays.next_act[flat]), rk.earliest_act())
+            gate = max(arrays.next_act[flat], rk.earliest_act())
         elif command is Command.PRE:
-            gate = int(arrays.next_pre[flat])
+            gate = arrays.next_pre[flat]
         elif command is Command.RD:
-            gate = max(int(arrays.next_rd[flat]), self.next_rd,
+            gate = max(arrays.next_rd[flat], self.next_rd,
                        self._rank_switch_gate(rank))
         elif command is Command.WR:
-            gate = max(int(arrays.next_wr[flat]), self.next_wr,
+            gate = max(arrays.next_wr[flat], self.next_wr,
                        self._rank_switch_gate(rank))
         elif command is Command.REF:
             gate = rk.earliest_refresh()
@@ -104,15 +104,14 @@ class Channel:
         instead of polling :meth:`can_issue` every cycle.
         """
         rk = self.ranks[rank]
-        arrays = self.bank_arrays
         sl = rk._slice()
-        open_mask = arrays.open_row[sl] >= 0
-        if not open_mask.any():
+        open_pres = [pre for row, pre in zip(self.bank_arrays.open_row[sl],
+                                             self.bank_arrays.next_pre[sl])
+                     if row >= 0]
+        if not open_pres:
             return self.earliest(Command.REF, rank, 0)
-        # PRE is gated only by the bank's next_pre and the command bus,
-        # so the min over open banks is a single masked reduction.
-        gate = int(arrays.next_pre[sl][open_mask].min())
-        return max(gate, self.next_cmd)
+        # PRE is gated only by the bank's next_pre and the command bus.
+        return max(min(open_pres), self.next_cmd)
 
     def _rank_switch_gate(self, rank: int) -> int:
         """Extra delay when the data bus switches ranks (tRTRS)."""

@@ -21,9 +21,9 @@ class Rank:
 
     Per-bank timing registers live in a :class:`BankTimingArrays`
     shared across the channel (``arrays``/``base`` locate this rank's
-    slice); rank-wide scans below reduce over that slice in one
-    vector op.  ``Rank(timing, num_banks)`` without arrays stays
-    self-contained for unit tests.
+    slice); rank-wide scans below reduce over that slice.
+    ``Rank(timing, num_banks)`` without arrays stays self-contained
+    for unit tests.
     """
 
     __slots__ = ("timing", "banks", "arrays", "base", "next_act",
@@ -78,7 +78,7 @@ class Rank:
         return slice(self.base, self.base + len(self.banks))
 
     def all_banks_closed(self) -> bool:
-        return not (self.arrays.open_row[self._slice()] >= 0).any()
+        return max(self.arrays.open_row[self._slice()]) < 0
 
     def earliest_refresh(self) -> int:
         """Earliest cycle a REF may be issued (all banks precharged).
@@ -88,7 +88,7 @@ class Rank:
         """
         if not self.all_banks_closed():
             raise RuntimeError("REF requires all banks precharged")
-        earliest = int(self.arrays.next_act[self._slice()].max())
+        earliest = max(self.arrays.next_act[self._slice()])
         return max(earliest, self.refresh_busy_until)
 
     def do_refresh(self, cycle: int) -> None:
@@ -127,7 +127,8 @@ class Rank:
     # ------------------------------------------------------------------
 
     def open_bank_count(self) -> int:
-        return int((self.arrays.open_row[self._slice()] >= 0).sum())
+        return sum(1 for row in self.arrays.open_row[self._slice()]
+                   if row >= 0)
 
     def active_cycles_until(self, cycle: int) -> int:
         """Aggregate bank-open cycles across the rank, up to ``cycle``."""

@@ -20,9 +20,8 @@ observation without simulating 64 ms of wall-clock DRAM time.
 
 from __future__ import annotations
 
+from array import array
 from typing import List
-
-import numpy as np
 
 from repro.dram.timing import NEVER, TimingParameters
 
@@ -43,10 +42,11 @@ class RefreshScheduler:
 
         window = self.num_groups * timing.tREFI
         # Steady-state pre-seed: group g last refreshed g*tREFI - window.
-        base = np.arange(self.num_groups, dtype=np.int64) * timing.tREFI \
-            - window
-        self._group_time: List[np.ndarray] = [
-            base.copy() for _ in range(num_ranks)]
+        # A typed array keeps the 8192-entry tables compact (a list
+        # would box every stamp as its own int object).
+        base = array("q", range(-window, 0, timing.tREFI))
+        self._group_time: List[array] = [
+            array("q", base) for _ in range(num_ranks)]
         # Next group each rank will refresh (continues the rotation).
         self._next_group = [0] * num_ranks
         self._next_due = [timing.tREFI] * num_ranks
@@ -95,7 +95,7 @@ class RefreshScheduler:
 
     def row_refresh_age_cycles(self, rank: int, row: int, cycle: int) -> int:
         """Bus cycles since ``row`` was last refreshed."""
-        stamp = int(self._group_time[rank][self.row_group(row)])
+        stamp = self._group_time[rank][self.row_group(row)]
         return max(0, cycle - stamp)
 
     def row_refresh_age_ms(self, rank: int, row: int, cycle: int) -> float:

@@ -1,10 +1,14 @@
 """Test-only helpers: an *independent* DRAM command legality checker,
-and the shared tiny-trace factory.
+a reference FR-FCFS scheduler, and the shared tiny-trace factory.
 
 The simulator enforces timing constraints in its bank/rank/channel
 state machines; the checker below re-verifies an issued-command log
 from scratch with its own bookkeeping, so a bug in the simulator's
 enforcement cannot hide itself.
+
+:func:`reference_frfcfs_choose` / :func:`reference_frfcfs_next_ready`
+are the simulator's original FR-FCFS request walk, kept verbatim as
+the oracle for the per-bank scan that replaced it.
 
 :func:`tiny_trace` / :func:`write_trace` factor the repeated "build a
 small deterministic trace, write it, ingest it" dance out of the
@@ -17,9 +21,10 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Iterable, List, Optional, Sequence
 
+from repro.controller.scheduler import SchedulerDecision
 from repro.cpu.trace import TraceRecord
 from repro.dram.commands import Command, IssuedCommand
-from repro.dram.timing import TimingParameters
+from repro.dram.timing import NEVER, TimingParameters
 from repro.workloads.ingest import MemTraceRecord, write_mem_trace
 
 
@@ -62,6 +67,83 @@ def tiny_internal(n: int = 100, *, bubbles: int = 0, start_line: int = 0,
                         write_every is not None
                         and i % write_every == write_every - 1)
             for i in range(n)]
+
+
+def _reference_required_command(request, channel) -> Command:
+    """The next command this request needs, given current bank state."""
+    bank = channel.bank(request.rank, request.bank)
+    if bank.open_row is None:
+        return Command.ACT
+    if bank.open_row != request.row:
+        return Command.PRE
+    return Command.RD if request.is_read else Command.WR
+
+
+def reference_frfcfs_choose(queue, channel, cycle: int,
+                            blocked_ranks=()) -> Optional[SchedulerDecision]:
+    """FR-FCFS as a two-pass walk over every queued request.
+
+    Pass 1 returns the oldest request whose row-hit column command can
+    issue at ``cycle``; pass 2 the oldest request whose row command
+    (PRE or ACT) can.
+    """
+    # Pass 1: oldest ready row-hit column command.
+    for req in queue:
+        if req.rank in blocked_ranks:
+            continue
+        bank = channel.bank(req.rank, req.bank)
+        if bank.open_row != req.row:
+            continue
+        cmd = Command.RD if req.is_read else Command.WR
+        if channel.can_issue(cmd, req.rank, req.bank, cycle):
+            return SchedulerDecision(req, cmd)
+    # Pass 2: oldest request whose required row command is ready.
+    for req in queue:
+        if req.rank in blocked_ranks:
+            continue
+        cmd = _reference_required_command(req, channel)
+        if cmd.is_column:
+            continue  # handled (or timing-blocked) in pass 1
+        if channel.can_issue(cmd, req.rank, req.bank, cycle):
+            return SchedulerDecision(req, cmd)
+    return None
+
+
+def reference_frfcfs_next_ready(queue, channel, cycle: int,
+                                blocked_ranks=()) -> int:
+    """Earliest cycle the two-pass walk could pick something.
+
+    The minimum gate over each queued bank's required commands; it
+    stops at the first bank gated no later than ``cycle + 1``, so any
+    value up to ``cycle + 1`` means "next cycle".
+    """
+    best = NEVER
+    col_cmd = None
+    for rank, bank in queue.banks():
+        if rank in blocked_ranks:
+            continue  # reserved for refresh; refresh wake-ups cover it
+        open_row = channel.bank(rank, bank).open_row
+        if open_row is None:
+            t = channel.earliest(Command.ACT, rank, bank)
+        else:
+            hits = queue.requests_for_row(rank, bank, open_row)
+            if hits:
+                if col_cmd is None:
+                    # Queues are homogeneous (one per direction).
+                    first = next(iter(queue))
+                    col_cmd = Command.WR if first.is_write else Command.RD
+                t = channel.earliest(col_cmd, rank, bank)
+            else:
+                t = NEVER
+            if hits < queue.requests_for_bank(rank, bank):
+                t_pre = channel.earliest(Command.PRE, rank, bank)
+                if t_pre < t:
+                    t = t_pre
+        if t < best:
+            best = t
+            if best <= cycle + 1:
+                break  # cannot get any earlier than "next cycle"
+    return best
 
 
 class CommandLogViolation(AssertionError):

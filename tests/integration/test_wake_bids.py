@@ -1,10 +1,9 @@
-"""Dense-stepping regression for the post-issue wake bid.
+"""Dense-stepping regression for the event engine's wake bids.
 
-After a command issues, the event engine no longer bids a blanket
-``cycle + 1``: :meth:`Controller._post_issue_bid` derives a cheap
-lower bound from bank-state arrays alone (read-event heads, refresh
-deadlines, mechanism wake, per-candidate-bank gates).  These tests pin
-the two properties that bid must keep:
+Every visited cycle ends with :meth:`MemoryController.next_event_cycle`
+bidding the next cycle the controller can act at (read-event heads,
+refresh deadlines, the scheduler's ready bound, pending precharges,
+mechanism wake).  These tests pin the properties those bids must keep:
 
 * **Soundness** — every counter of an event-engine run stays
   bit-identical to the dense tick-per-cycle reference, on workloads
@@ -12,7 +11,9 @@ the two properties that bid must keep:
   too-high bid would skip an action cycle and silently diverge).
 * **Effectiveness** — the engine visits meaningfully fewer cycles
   than dense on mixed phases, and its visits-per-command stays under a
-  budget; regressing the bid back to ``cycle + 1`` busts the budget.
+  budget; regressing the bid to a blanket ``cycle + 1`` busts it.
+* **Scheduler work** — the FR-FCFS gates (``Channel.earliest`` calls)
+  computed per issued command stay under a budget in both engines.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 
 from repro.cpu.system import System
 from repro.cpu.trace import TraceRecord
+from repro.dram.channel import Channel
 from repro.dram.organization import Organization
 from repro.workloads.synthetic import random_trace, zipf_trace
 
@@ -69,10 +71,10 @@ def test_mixed_phase_visit_budget():
     """The bid must keep skipping cycles on mixed idle/busy phases.
 
     ``System.visited_cycles`` counts engine loop iterations.  Dense
-    visits every bus cycle by construction; the event engine with the
-    bank-state bid lands well under both the dense count and a
-    visits-per-command budget (measured ~3-4 with the bid, ~9 with the
-    old blanket ``cycle + 1`` rebid on command-dense workloads).
+    visits every bus cycle by construction; the event engine lands
+    well under both the dense count and a visits-per-command budget
+    (measured 2.5 here; ~9 with a blanket ``cycle + 1`` rebid after
+    every command on command-dense workloads).
     """
     cfg = tiny_config("chargecache", instruction_limit=20_000,
                       warmup=1_000)
@@ -97,5 +99,39 @@ def test_mixed_phase_visit_budget():
     assert commands > 0
     visits_per_command = visited / commands
     assert visits_per_command <= 6.0, (
-        f"{visits_per_command:.2f} visits/command — post-issue bid "
+        f"{visits_per_command:.2f} visits/command — wake bid "
         "regressed toward cycle stepping")
+
+
+@pytest.mark.parametrize("engine", ("dense", "event"))
+def test_mixed_phase_earliest_budget(engine, monkeypatch):
+    """FR-FCFS computes each queued bank's gates once per state change.
+
+    The scheduler keeps its per-bank table until a command issues or
+    the queue changes, so ``Channel.earliest`` calls scale with issued
+    commands, not with visited cycles or queued requests: 5.0 per
+    command here in both engines.  A walk over every queued request
+    on every call took 12.5 (event) and 17.7 (dense).
+    """
+    calls = [0]
+    earliest = Channel.earliest
+
+    def counted(self, *args):
+        calls[0] += 1
+        return earliest(self, *args)
+
+    monkeypatch.setattr(Channel, "earliest", counted)
+    cfg = tiny_config("chargecache", instruction_limit=20_000,
+                      warmup=1_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    system = System(replace(cfg, engine=engine),
+                    [iter(_mixed_phase_trace(org))])
+    system.run(max_mem_cycles=600_000)
+    commands = sum(ch.num_acts + ch.num_pres + ch.num_rds + ch.num_wrs
+                   + ch.num_refs
+                   for ch in (c.channel for c in system.controllers))
+    assert commands > 0
+    per_command = calls[0] / commands
+    assert per_command <= 7.0, (
+        f"{per_command:.2f} Channel.earliest calls per command — the "
+        "scheduler is recomputing gates it already has")
