@@ -15,15 +15,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.controller.queues import RequestQueue
 from repro.controller.request import Request
 from repro.controller.row_policy import make_row_policy
-from repro.controller.scheduler import SchedulerDecision, make_scheduler
+from repro.controller.scheduler import (
+    NO_BLOCKED_RANKS,
+    SchedulerDecision,
+    make_scheduler,
+)
 from repro.core.timing_policy import LatencyMechanism
 from repro.dram.channel import Channel
-from repro.dram.commands import Command
+from repro.dram.commands import ACT, PRE, RD, REF, WR
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import NEVER, TimingParameters
 
@@ -163,11 +167,13 @@ class MemoryController:
         command.
 
         The dense engine calls this every cycle; the event engine only
-        at cycles :meth:`next_event_cycle` reported.  Both produce the
-        same command stream because nothing here depends on *how* the
-        clock reached ``cycle``: completions pop by timestamp,
-        mechanism maintenance is batch-exact, and scheduling reads only
-        current queue/bank state.
+        at visited cycles, and not while :meth:`sleeps_through` holds.
+        Both produce the same command stream because nothing here
+        depends on *how* the clock reached ``cycle``: completions pop by
+        timestamp, mechanism maintenance is batch-exact, and scheduling
+        reads only current queue/bank state.  ``tick`` itself never
+        consults the standing bid, so a direct call (the dense engine,
+        the bid audit in the tests) always does the full work.
         """
         events = self._read_events
         while events and events[0][0] <= cycle:
@@ -208,6 +214,25 @@ class MemoryController:
         self.read_q.sample_occupancy()
         self.write_q.sample_occupancy()
 
+    def _bid_key(self) -> Tuple[int, int, int, int]:
+        """Version counters of every state a wake bid derives from."""
+        return (self._issue_count, self._forward_count,
+                self.read_q.version, self.write_q.version)
+
+    def sleeps_through(self, cycle: int) -> bool:
+        """True when the standing wake bid proves ``tick(cycle)`` idle.
+
+        The bid cached by :meth:`next_event_cycle` is a lower bound on
+        the next cycle :meth:`tick` acts at, valid while its version key
+        matches.  The event engine asks this before each tick and skips
+        the tick when it holds; a controller whose state moved since
+        the bid (an enqueue or forward earlier in the same visit) gets
+        the full tick.
+        """
+        cache = self._wake_cache
+        return cache is not None and cache[1] > cycle \
+            and cache[0] == self._bid_key()
+
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest future cycle at which this controller can act.
 
@@ -230,8 +255,7 @@ class MemoryController:
         # command issues, queue pushes/removals, or write-forwards, so
         # a bid computed earlier stays valid until one of those version
         # counters moves (or the bid cycle itself is reached).
-        key = (self._issue_count, self._forward_count,
-               self.read_q.version, self.write_q.version)
+        key = self._bid_key()
         if self._wake_cache is not None:
             cached_key, bid = self._wake_cache
             if cached_key == key and bid > cycle:
@@ -243,17 +267,24 @@ class MemoryController:
         # Refresh: ranks whose REF is already due block normal
         # scheduling; wake when their refresh can make progress.
         # Ranks due later wake the controller at the due cycle.
-        blocked: List[int] = []
-        for rank_idx in range(self._num_ranks):
-            due = self.refresh.next_due(rank_idx)
-            if due > cycle:
-                if due < nxt:
-                    nxt = due
-            else:
-                blocked.append(rank_idx)
-                t = self.channel.earliest_refresh_action(rank_idx)
-                if t < nxt:
-                    nxt = t
+        blocked = NO_BLOCKED_RANKS
+        first_due = self.refresh.first_due()
+        if first_due > cycle:
+            if first_due < nxt:
+                nxt = first_due
+        else:
+            due_ranks = []
+            for rank_idx in range(self._num_ranks):
+                due = self.refresh.next_due(rank_idx)
+                if due > cycle:
+                    if due < nxt:
+                        nxt = due
+                else:
+                    due_ranks.append(rank_idx)
+                    t = self.channel.earliest_refresh_action(rank_idx)
+                    if t < nxt:
+                        nxt = t
+            blocked = frozenset(due_ranks)
         if nxt <= cycle + 1:
             return cycle + 1
 
@@ -271,14 +302,23 @@ class MemoryController:
             if nxt <= cycle + 1:
                 return cycle + 1
 
-        for rank, bank in self._pending_pre:
-            if rank in blocked:
-                continue  # refresh handling owns this rank for now
-            if self.channel.bank(rank, bank).open_row is None:
-                continue
-            t = self.channel.earliest(Command.PRE, rank, bank)
-            if t < nxt:
-                nxt = t
+        if self._pending_pre:
+            # A PRE's gate is max(bank register, command bus), and the
+            # command-bus part is shared by every bank.
+            arrays = self.channel.bank_arrays
+            banks_per_rank = arrays.banks_per_rank
+            pre_shared = self.channel.shared_gate(PRE, 0)
+            for rank, bank in self._pending_pre:
+                if rank in blocked:
+                    continue  # refresh handling owns this rank for now
+                flat = rank * banks_per_rank + bank
+                if arrays.open_row[flat] < 0:
+                    continue
+                t = arrays.next_pre[flat]
+                if t < pre_shared:
+                    t = pre_shared
+                if t < nxt:
+                    nxt = t
 
         t = self.mechanism.next_wake(cycle)
         if t < nxt:
@@ -291,23 +331,21 @@ class MemoryController:
     # Refresh handling
     # ------------------------------------------------------------------
 
-    def _refresh_step(self, cycle: int) -> Optional[Set[int]]:
+    def _refresh_step(self, cycle: int) -> Optional[FrozenSet[int]]:
         """Handle due refreshes.
 
         Returns the set of refresh-blocked ranks, or None when a
         command was issued (the channel's one-command budget is spent).
         """
-        blocked: Set[int] = set()
-        for rank_idx in range(self._num_ranks):
-            if not self.refresh.rank_needs_refresh(rank_idx, cycle):
-                continue
-            blocked.add(rank_idx)
-        if not blocked:
-            return blocked
+        if cycle < self.refresh.first_due():
+            return NO_BLOCKED_RANKS
+        blocked = frozenset(
+            rank_idx for rank_idx in range(self._num_ranks)
+            if self.refresh.rank_needs_refresh(rank_idx, cycle))
         for rank_idx in sorted(blocked):
             rank = self.channel.ranks[rank_idx]
             if rank.all_banks_closed():
-                if self.channel.can_issue(Command.REF, rank_idx, 0, cycle):
+                if self.channel.can_issue(REF, rank_idx, 0, cycle):
                     self.channel.issue_refresh(rank_idx, cycle)
                     self.refresh.on_refresh_issued(rank_idx, cycle)
                     self.stats.refreshes += 1
@@ -316,7 +354,7 @@ class MemoryController:
                 for bank_idx, bank in enumerate(rank.banks):
                     if bank.open_row is None:
                         continue
-                    if self.channel.can_issue(Command.PRE, rank_idx,
+                    if self.channel.can_issue(PRE, rank_idx,
                                               bank_idx, cycle):
                         self._issue_pre(rank_idx, bank_idx, cycle)
                         return None
@@ -326,35 +364,31 @@ class MemoryController:
     # Scheduling helpers
     # ------------------------------------------------------------------
 
-    def _update_drain_mode(self) -> None:
-        """Advance the watermark latch.
+    def _select_queue(self) -> RequestQueue:
+        """The queue the scheduler serves this cycle.
 
-        The latch transitions are idempotent in the queue lengths
-        (re-evaluating with unchanged queues never flips the state), a
-        property the event engine relies on: queue lengths only change
-        at visited cycles, so the latch is provably stable across
-        skipped ones.  Opportunistic draining when the read queue is
-        empty is therefore *not* latched - it is decided afresh in
-        :meth:`_select_queue` - because routing it through the latch
-        would make the state oscillate every evaluation at small write
-        occupancies (the drain would turn on, immediately drop below
-        the low watermark, turn off, and repeat), making command
-        timing depend on how often the controller is polled.
+        First advances the write-drain watermark latch.  Its
+        transitions are idempotent in the queue lengths (re-evaluating
+        with unchanged queues never flips the state), a property the
+        event engine relies on: queue lengths only change at visited
+        cycles, so the latch is provably stable across skipped ones.
+        Opportunistic draining when the read queue is empty is
+        therefore *not* latched - it is decided afresh below - because
+        routing it through the latch would make the state oscillate
+        every evaluation at small write occupancies (the drain would
+        turn on, immediately drop below the low watermark, turn off,
+        and repeat), making command timing depend on how often the
+        controller is polled.
         """
         wq_len = len(self.write_q)
         if self._drain_writes:
             if wq_len <= self._wq_low:
                 self._drain_writes = False
-        else:
-            if wq_len >= self._wq_high:
-                self._drain_writes = True
-
-    def _select_queue(self) -> RequestQueue:
-        """The queue the scheduler serves this cycle."""
-        self._update_drain_mode()
+        elif wq_len >= self._wq_high:
+            self._drain_writes = True
         if self._drain_writes:
             return self.write_q
-        if self.read_q.is_empty and len(self.write_q):
+        if self.read_q.is_empty and wq_len:
             return self.write_q  # nothing to read: sneak writes out
         return self.read_q
 
@@ -362,11 +396,11 @@ class MemoryController:
                  cycle: int) -> None:
         req = decision.request
         cmd = decision.command
-        if cmd is Command.ACT:
+        if cmd is ACT:
             self._issue_act(req, cycle)
-        elif cmd is Command.PRE:
+        elif cmd is PRE:
             self._issue_pre(req.rank, req.bank, cycle)
-        elif cmd is Command.RD:
+        elif cmd is RD:
             done = self.channel.issue_read(req.rank, req.bank, cycle)
             req.issue_cycle = cycle
             req.done_cycle = done
@@ -377,7 +411,7 @@ class MemoryController:
             if not req.needed_act:
                 self.stats.read_row_hits += 1
             self._maybe_close_after(req)
-        elif cmd is Command.WR:
+        elif cmd is WR:
             done = self.channel.issue_write(req.rank, req.bank, cycle)
             req.issue_cycle = cycle
             req.done_cycle = done
@@ -418,16 +452,20 @@ class MemoryController:
                                                  self.write_q):
             self._pending_pre.add((req.rank, req.bank))
 
-    def _issue_pending_pre(self, cycle: int, blocked: Set[int]) -> bool:
+    def _issue_pending_pre(self, cycle: int,
+                           blocked: FrozenSet[int]) -> bool:
         """Issue one policy-requested PRE if legal; True when issued."""
+        arrays = self.channel.bank_arrays
+        banks_per_rank = arrays.banks_per_rank
+        bus_free = self.channel.shared_gate(PRE, 0) <= cycle
         for rank, bank in list(self._pending_pre):
             if rank in blocked:
                 continue
-            bank_state = self.channel.bank(rank, bank)
-            if bank_state.open_row is None:
+            flat = rank * banks_per_rank + bank
+            if arrays.open_row[flat] < 0:
                 self._pending_pre.discard((rank, bank))
                 continue
-            if self.channel.can_issue(Command.PRE, rank, bank, cycle):
+            if bus_free and arrays.next_pre[flat] <= cycle:
                 self._issue_pre(rank, bank, cycle)
                 return True
         return False
@@ -440,9 +478,6 @@ class MemoryController:
     def has_work(self) -> bool:
         return bool(self.read_q or self.write_q or self._read_events
                     or self._pending_pre)
-
-    def next_refresh_due(self) -> int:
-        return min(self.refresh.next_due(r) for r in range(self._num_ranks))
 
     def outstanding_reads(self) -> int:
         return len(self.read_q) + len(self._read_events)

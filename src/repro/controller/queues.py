@@ -120,6 +120,14 @@ class RequestQueue:
         """Count queued requests to a specific (rank, bank, row)."""
         return self._row_count.get((rank, bank, row), 0)
 
+    def row_counts(self) -> Dict[Tuple[int, int, int], int]:
+        """Queued requests per ``(rank, bank, row)`` (absent rows: 0).
+
+        The queue's own bookkeeping, returned for read-only bulk
+        lookups (the FR-FCFS scan reads one entry per open bank).
+        """
+        return self._row_count
+
     def banks(self) -> Iterator[Tuple[int, int]]:
         """The distinct (rank, bank) pairs with queued requests."""
         return iter(self._by_bank)

@@ -16,12 +16,17 @@ can issue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Optional
 
 from repro.controller.request import Request
 from repro.dram.channel import Channel
-from repro.dram.commands import Command
+from repro.dram.commands import ACT, PRE, RD, WR, Command
 from repro.dram.timing import NEVER
+
+#: The "no rank is reserved for refresh" value of ``blocked_ranks``.
+#: Callers pass this one object (or another frozenset) so the scan
+#: table's key compares it without building a set per call.
+NO_BLOCKED_RANKS: FrozenSet[int] = frozenset()
 
 
 @dataclass
@@ -66,9 +71,13 @@ class FRFCFSScheduler:
     def __init__(self):
         self._scan_key = None
         self._table = None
+        #: Queued banks walked by :meth:`_scan` (work counter; tests
+        #: budget it per issued command).
+        self.banks_examined = 0
 
     def choose(self, queue, channel: Channel, cycle: int,
-               blocked_ranks=()) -> Optional[SchedulerDecision]:
+               blocked_ranks=NO_BLOCKED_RANKS
+               ) -> Optional[SchedulerDecision]:
         """Pick the command to issue at ``cycle``, or None.
 
         The oldest request with a ready row-hit column command wins;
@@ -88,7 +97,7 @@ class FRFCFSScheduler:
         return None
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
-                         blocked_ranks=()) -> int:
+                         blocked_ranks=NO_BLOCKED_RANKS) -> int:
         """Earliest cycle at which :meth:`choose` could return non-None.
 
         The minimum gate over every unblocked queued bank's required
@@ -106,46 +115,73 @@ class FRFCFSScheduler:
         ``hits`` holds ``(gate, oldest row-hit request, RD or WR)`` and
         ``misses`` ``(gate, oldest row-miss request, PRE or ACT)``, one
         entry per bank that has such requests; ``gate`` is the earliest
-        of all of them (``NEVER`` when there are none).
+        of all of them (``NEVER`` when there are none).  Each gate is
+        ``max(bank register, Channel.shared_gate)``, the same value as
+        :meth:`Channel.earliest`; the shared part is computed once per
+        (command, rank) of the scan.
         """
+        if type(blocked_ranks) is not frozenset:
+            # Snapshot: the kept key must not alias a caller's set.
+            blocked_ranks = frozenset(blocked_ranks)
         key = (queue, queue.version, channel, channel.next_cmd,
-               frozenset(blocked_ranks))
+               blocked_ranks)
         if key == self._scan_key:
             return self._table
         arrays = channel.bank_arrays
         open_rows = arrays.open_row
+        next_act = arrays.next_act
+        next_pre = arrays.next_pre
         banks_per_rank = arrays.banks_per_rank
-        earliest = channel.earliest
-        col_cmd = None
+        shared_gate = channel.shared_gate
+        act_shared = {}
+        col_shared = {}
+        pre_shared = None  # the command bus: the same on every rank
+        col_cmd = col_regs = None
         hits = []
         misses = []
         best = NEVER
-        for (rank, bank), requests in queue.bank_requests():
+        bank_requests = queue.bank_requests()
+        row_counts = queue.row_counts()
+        self.banks_examined += len(bank_requests)
+        for (rank, bank), requests in bank_requests:
             if rank in blocked_ranks:
                 continue  # reserved for refresh; refresh wake-ups cover it
-            open_row = open_rows[rank * banks_per_rank + bank]
+            flat = rank * banks_per_rank + bank
+            open_row = open_rows[flat]
             if open_row < 0:
-                gate = earliest(Command.ACT, rank, bank)
-                misses.append((gate, requests[0], Command.ACT))
+                gate = act_shared.get(rank)
+                if gate is None:
+                    gate = act_shared[rank] = shared_gate(ACT, rank)
+                if next_act[flat] > gate:
+                    gate = next_act[flat]
+                misses.append((gate, requests[0], ACT))
             else:
-                n_hits = queue.requests_for_row(rank, bank, open_row)
+                n_hits = row_counts.get((rank, bank, open_row), 0)
                 gate = NEVER
                 if n_hits:
                     if col_cmd is None:
                         # Queues are homogeneous (one per direction).
-                        col_cmd = Command.WR if requests[0].is_write \
-                            else Command.RD
-                    gate = earliest(col_cmd, rank, bank)
+                        col_cmd = WR if requests[0].is_write else RD
+                        col_regs = channel.registers(col_cmd)
+                    gate = col_shared.get(rank)
+                    if gate is None:
+                        gate = col_shared[rank] = shared_gate(col_cmd, rank)
+                    if col_regs[flat] > gate:
+                        gate = col_regs[flat]
                     for req in requests:
                         if req.row == open_row:
                             break
                     hits.append((gate, req, col_cmd))
                 if n_hits < len(requests):
-                    pre_gate = earliest(Command.PRE, rank, bank)
+                    if pre_shared is None:
+                        pre_shared = shared_gate(PRE, rank)
+                    pre_gate = next_pre[flat]
+                    if pre_shared > pre_gate:
+                        pre_gate = pre_shared
                     for req in requests:
                         if req.row != open_row:
                             break
-                    misses.append((pre_gate, req, Command.PRE))
+                    misses.append((pre_gate, req, PRE))
                     if pre_gate < gate:
                         gate = pre_gate
             if gate < best:
@@ -161,7 +197,8 @@ class FCFSScheduler:
     name = "fcfs"
 
     def choose(self, queue, channel: Channel, cycle: int,
-               blocked_ranks=()) -> Optional[SchedulerDecision]:
+               blocked_ranks=NO_BLOCKED_RANKS
+               ) -> Optional[SchedulerDecision]:
         for req in queue:
             if req.rank in blocked_ranks:
                 continue
@@ -172,7 +209,7 @@ class FCFSScheduler:
         return None
 
     def next_ready_cycle(self, queue, channel: Channel, cycle: int,
-                         blocked_ranks=()) -> int:
+                         blocked_ranks=NO_BLOCKED_RANKS) -> int:
         """Earliest possible pick: only the (unblocked) head counts."""
         del cycle
         for req in queue:

@@ -28,7 +28,7 @@ from repro.core.hcrac import HCRAC, UnboundedHCRAC
 from repro.core.invalidation import PeriodicInvalidator
 from repro.core.registry import MechanismContext, register_mechanism
 from repro.core.timing_policy import LatencyMechanism
-from repro.dram.timing import ReducedTimings, TimingParameters
+from repro.dram.timing import NEVER, ReducedTimings, TimingParameters
 
 
 def row_key(rank: int, bank: int, row: int) -> int:
@@ -74,6 +74,8 @@ class ChargeCache(LatencyMechanism):
                 PeriodicInvalidator(table, sweep_cycles)
                 for table in self.tables]
         self.insertions = 0
+        # Earliest IIC wrap over all tables (see :meth:`maintain`).
+        self._next_wrap = NEVER if self.unbounded else 0
 
     # ------------------------------------------------------------------
 
@@ -114,11 +116,19 @@ class ChargeCache(LatencyMechanism):
         self.insertions += 1
 
     def maintain(self, cycle: int) -> None:
-        """Advance the IIC/EC invalidation counters to ``cycle``."""
-        if self.unbounded:
+        """Advance the IIC/EC invalidation counters to ``cycle``.
+
+        Runs on every controller tick, so it returns at once before the
+        earliest IIC wrap over all tables: advancing an invalidator
+        that has not wrapped changes nothing.
+        """
+        if cycle < self._next_wrap:
             return
+        wrap = NEVER
         for invalidator in self.invalidators:
             invalidator.advance_to(cycle)
+            wrap = min(wrap, invalidator.next_wrap_cycle())
+        self._next_wrap = wrap
 
     def next_wake(self, cycle: int) -> int:
         """Next IIC wrap across all tables (event-engine wake-up).

@@ -103,10 +103,6 @@ class Core:
     def retired_since_reset(self) -> int:
         return self.retired - self._stats_start_retired
 
-    @property
-    def is_blocked(self) -> bool:
-        return self.block_reason != BLOCK_NONE
-
     # ------------------------------------------------------------------
     # Memory-completion callback
     # ------------------------------------------------------------------
@@ -164,7 +160,9 @@ class Core:
             # trace record has not been fetched yet: step next cycle.
             return self.now
         if self._inflight:
-            room = self.window_size - self.window_occupancy
+            # Retirement stops at the oldest in-flight load.
+            room = self.window_size - self.dispatched \
+                + self._inflight[0][0]
             if room <= bubbles:
                 # The window fills behind the outstanding load before
                 # the bubble stretch ends; the core blocks without any
@@ -225,7 +223,8 @@ class Core:
         slots = budget_cycles * self.issue_width - self._slot
         count = min(self._bubbles_left, slots)
         if self._inflight:
-            room = self.window_size - self.window_occupancy
+            room = self.window_size - self.dispatched \
+                + self._inflight[0][0]
             if room <= 0:
                 self.block_reason = BLOCK_WINDOW
                 return
@@ -248,7 +247,8 @@ class Core:
         if record.dependent and self._inflight:
             self.block_reason = BLOCK_DEP
             return False
-        if self._inflight and self.window_occupancy >= self.window_size:
+        if self._inflight and self.dispatched - self._inflight[0][0] \
+                >= self.window_size:
             self.block_reason = BLOCK_WINDOW
             return False
         if not record.is_write and self.mshr_used >= self.mshrs:
@@ -277,8 +277,13 @@ class Core:
         return True
 
     def _check_finished(self) -> None:
-        if not self.finished and \
-                self.retired_since_reset >= self.instruction_limit:
+        # Called after every dispatch chunk: :attr:`retired_since_reset`
+        # inlined (an in-flight load's index is below ``dispatched``).
+        if self.finished:
+            return
+        retired = self._inflight[0][0] if self._inflight \
+            else self.dispatched
+        if retired - self._stats_start_retired >= self.instruction_limit:
             self.finished = True
             self.finish_cycle = self.now
 

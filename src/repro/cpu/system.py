@@ -22,7 +22,11 @@ Two clock engines share the per-cycle body (:meth:`System._step`):
   state changes happen at visited cycles, the visited set is a
   superset of the dense engine's action cycles and the two engines
   produce bit-identical statistics (see DESIGN.md and
-  ``tests/integration/test_engine_parity.py``).
+  ``tests/integration/test_engine_parity.py``).  At a visit the event
+  engine also touches only what can act: a controller whose standing
+  bid lies beyond the cycle is not ticked, and a core is stepped only
+  when its bid is due, a completion reached it, or the warmup boundary
+  is crossed.
 """
 
 from __future__ import annotations
@@ -201,6 +205,11 @@ class System:
         self._events: List = []  # (cpu_time, seq, core_id, token)
         self._event_seq = 0
         self._warmed = config.warmup_cpu_cycles == 0
+        # CPU time of the bus cycle before the one being visited.
+        self._cpu_prev = 0
+        # Event engine: per core, the first bus cycle at which it must
+        # be stepped again (NEVER while it waits on a completion).
+        self._core_wake = [0] * config.processor.num_cores
 
         self.llc = SharedCache(config.cache, self.mapper, self.controllers,
                                hit_notify=self._schedule_hit,
@@ -228,7 +237,22 @@ class System:
                                     notify=self._load_done)
 
     def _load_done(self, core_id: int, token: int) -> None:
-        self.cores[core_id].on_load_complete(token)
+        """Deliver a load completion; the core is stepped this visit.
+
+        A core the event engine did not step lags behind CPU time, so
+        it is first caught up to the previous bus cycle's CPU time, as
+        dense stepping would have left it: a blocked core still
+        consumes wall-clock every cycle, so stall time skipped must not
+        be handed back as dispatch budget once the completion unblocks
+        it.  The wake-up bounds guarantee no core can issue a memory
+        access before that time, so the advance is side-effect-free
+        (dense engine: a no-op).
+        """
+        core = self.cores[core_id]
+        if core.now < self._cpu_prev and not self._frozen(core):
+            core.run_until(self._cpu_prev)
+        core.on_load_complete(token)
+        self._core_wake[core_id] = 0
 
     def _schedule_hit(self, core_id: int, token: int, delay: int) -> None:
         cpu_time = self.mem_cycle * self.ratio + delay
@@ -250,8 +274,11 @@ class System:
         self._warmed = self.config.warmup_cpu_cycles == 0
         # Engine-efficiency instrumentation (not part of RunResult, so
         # cache keys and artifacts are unaffected): how many bus cycles
-        # the engine actually stepped.
+        # the engine visited, how many cores it stepped to CPU time and
+        # how many full controller ticks it ran.
         self.visited_cycles = 0
+        self.core_steps = 0
+        self.controller_ticks = 0
         if self.config.engine == "dense":
             return self._run_dense(max_mem_cycles)
         return self._run_event(max_mem_cycles)
@@ -358,50 +385,96 @@ class System:
             telemetry["collapsed"] = len(configs) - full_runs
         return results
 
-    def _step(self, mem: int) -> bool:
+    def _step(self, mem: int, lazy: bool = False) -> bool:
         """The per-bus-cycle body shared by both engines.
 
         Delivers due CPU-side events, ticks controllers and the LLC,
-        lets every core catch up to CPU time, and handles the warmup
-        boundary.  Returns True when every core is finished.
+        steps cores to CPU time, and handles the warmup boundary.
+        Returns True when every core is finished.
+
+        ``lazy`` (the event engine) touches only what can act at
+        ``mem``.  A controller whose standing bid proves its tick idle
+        (:meth:`MemoryController.sleeps_through`) is not ticked.  A
+        core is stepped only when its cached bid in ``_core_wake`` is
+        due, a completion reached it this visit, or the warmup boundary
+        is crossed; any other core can do nothing visible before
+        ``cpu_now``, so it keeps its bid and lags behind CPU time until
+        :meth:`_load_done`, a due step, or :meth:`_sync_cores` catches
+        it up.
         """
-        cpu_now = mem * self.ratio
-        cpu_prev = cpu_now - self.ratio
+        ratio = self.ratio
+        cpu_now = mem * ratio
+        cpu_prev = self._cpu_prev = cpu_now - ratio
         events = self._events
-        cores = self.cores
-        idle_finished = self.config.idle_finished_cores
-        warmed = self._warmed
-        for core in cores:
-            # Catch skipped cores up to the previous cycle's CPU time
-            # first: in the dense engine a blocked core still consumes
-            # wall-clock every cycle, so time skipped while stalled
-            # must not be handed back as dispatch budget once a
-            # completion unblocks it.  The wake-up bounds guarantee no
-            # core can issue a memory access before ``cpu_prev``, so
-            # this advance is side-effect-free (dense mode: no-op,
-            # ``now`` is already at ``cpu_prev``).
-            if core.now < cpu_prev and \
-                    not (idle_finished and warmed and core.finished):
-                core.run_until(cpu_prev)
         while events and events[0][0] <= cpu_now:
             _, _, core_id, token = heapq.heappop(events)
-            cores[core_id].on_load_complete(token)
+            self._load_done(core_id, token)
         for controller in self.controllers:
+            if lazy and controller.sleeps_through(mem):
+                continue
+            self.controller_ticks += 1
             controller.tick(mem)
         self.llc.tick()
+        warmed = self._warmed
+        boundary = not warmed and cpu_now >= self.config.warmup_cpu_cycles
+        step_all = not lazy or boundary
+        idle_finished = warmed and self.config.idle_finished_cores
+        wake = self._core_wake
         all_finished = True
-        for core in cores:
-            if idle_finished and warmed and core.finished:
+        for core in self.cores:
+            if idle_finished and core.finished:
+                wake[core.core_id] = NEVER
                 continue
+            if not step_all and wake[core.core_id] > mem:
+                if not core.finished:
+                    all_finished = False
+                continue
+            if core.now < cpu_prev:
+                core.run_until(cpu_prev)
             core.retry_rejected()
             core.run_until(cpu_now)
+            self.core_steps += 1
             if not core.finished:
                 all_finished = False
-        if not warmed and cpu_now >= self.config.warmup_cpu_cycles:
+            if lazy and not boundary:
+                wake[core.core_id] = self._core_bid(core)
+        if boundary:
             self._warmed = True
             self._reset_stats(cpu_now, mem)
             all_finished = False
+            if lazy:
+                # The reset moved every core's instruction-limit target.
+                for core in self.cores:
+                    wake[core.core_id] = self._core_bid(core)
         return all_finished
+
+    def _frozen(self, core: Core) -> bool:
+        """A finished core that ``idle_finished_cores`` stops stepping."""
+        return core.finished and self._warmed \
+            and self.config.idle_finished_cores
+
+    def _core_bid(self, core: Core) -> int:
+        """First bus cycle at which ``core`` must be stepped again."""
+        if self._frozen(core):
+            return NEVER
+        c = core.next_event_cpu_cycle()
+        if c is None:
+            return NEVER  # woken by a completion (_load_done)
+        # The first bus cycle whose CPU time strictly exceeds c.
+        return c // self.ratio + 1
+
+    def _sync_cores(self) -> None:
+        """Step every core the event engine left behind to CPU time.
+
+        Lagging cores have no visible action before ``cpu_now`` (their
+        bids are not due), so one ``run_until`` reproduces the dense
+        engine's per-cycle steps.  Idle finished cores stay frozen, as
+        in both engines' loops.
+        """
+        cpu_now = self.mem_cycle * self.ratio
+        for core in self.cores:
+            if core.now < cpu_now and not self._frozen(core):
+                core.run_until(cpu_now)
 
     def _run_dense(self, max_mem_cycles: Optional[int]) -> RunResult:
         """Reference engine: visit every bus cycle."""
@@ -438,12 +511,13 @@ class System:
                 target = max_mem_cycles
             self.mem_cycle = max(target, self.mem_cycle + 1)
             self.visited_cycles += 1
-            all_finished = self._step(self.mem_cycle)
+            all_finished = self._step(self.mem_cycle, lazy=True)
             if self._warmed and all_finished:
                 break
             if max_mem_cycles is not None and self.mem_cycle >= max_mem_cycles:
                 truncated = True
                 break
+        self._sync_cores()
         return self._collect(truncated)
 
     def _next_wake_cycle(self) -> Optional[int]:
@@ -474,20 +548,10 @@ class System:
             w = -(-self.config.warmup_cpu_cycles // ratio)
             if w < nxt:
                 nxt = w
-        idle_finished = self.config.idle_finished_cores
-        for core in self.cores:
-            if idle_finished and self._warmed and core.finished:
-                continue
-            c = core.next_event_cpu_cycle()
-            if c is None:
-                continue
-            # The core must be stepped at the first bus cycle whose CPU
-            # time strictly exceeds c.
-            w = c // ratio + 1
-            if w < nxt:
-                nxt = w
-                if nxt <= cycle + 1:
-                    return cycle + 1
+        # Core bids are cached by _step; untouched cores keep theirs.
+        w = min(self._core_wake)
+        if w < nxt:
+            nxt = w
         return nxt if nxt < NEVER else None
 
     def _reset_stats(self, cpu_now: int, mem: int) -> None:

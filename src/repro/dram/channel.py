@@ -13,7 +13,15 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.dram.bank import BankTimingArrays
-from repro.dram.commands import Command, IssuedCommand
+from repro.dram.commands import (
+    ACT,
+    PRE,
+    RD,
+    REF,
+    WR,
+    Command,
+    IssuedCommand,
+)
 from repro.dram.rank import Rank
 from repro.dram.timing import TimingParameters, ReducedTimings
 
@@ -64,31 +72,65 @@ class Channel:
     # ------------------------------------------------------------------
 
     def earliest(self, command: Command, rank: int, bank: int) -> int:
-        """Earliest bus cycle at which ``command`` may be issued."""
-        rk = self.ranks[rank]
+        """Earliest bus cycle at which ``command`` may be issued.
+
+        For ACT, PRE, RD and WR this is the later of the bank's own
+        register and :meth:`shared_gate`, the part every bank of the
+        rank shares; bank scans read the registers straight from
+        :attr:`bank_arrays` and compute the shared gate once per rank.
+        """
+        if command is REF:
+            return max(self.ranks[rank].earliest_refresh(), self.next_cmd)
+        flat = self.ranks[rank].base + bank
+        if command is ACT and self.bank_arrays.open_row[flat] >= 0:
+            raise RuntimeError(
+                "ACT issued to an open bank; PRE required first")
+        register = self.registers(command)[flat]
+        shared = self.shared_gate(command, rank)
+        return register if register > shared else shared
+
+    def registers(self, command: Command) -> List[int]:
+        """The per-bank register list gating ``command`` (flat index)."""
         arrays = self.bank_arrays
-        flat = rk.base + bank
-        # Read the struct-of-arrays registers directly (equivalent to
-        # the Bank view's earliest_* queries): this is the scheduler's
-        # innermost loop.
-        if command is Command.ACT:
-            if arrays.open_row[flat] >= 0:
-                raise RuntimeError(
-                    "ACT issued to an open bank; PRE required first")
-            gate = max(arrays.next_act[flat], rk.earliest_act())
-        elif command is Command.PRE:
-            gate = arrays.next_pre[flat]
-        elif command is Command.RD:
-            gate = max(arrays.next_rd[flat], self.next_rd,
-                       self._rank_switch_gate(rank))
-        elif command is Command.WR:
-            gate = max(arrays.next_wr[flat], self.next_wr,
-                       self._rank_switch_gate(rank))
-        elif command is Command.REF:
-            gate = rk.earliest_refresh()
+        if command is ACT:
+            return arrays.next_act
+        if command is PRE:
+            return arrays.next_pre
+        if command is RD:
+            return arrays.next_rd
+        if command is WR:
+            return arrays.next_wr
+        raise ValueError(f"unsupported command {command}")
+
+    def shared_gate(self, command: Command, rank: int) -> int:
+        """The gate on ``command`` common to every bank of ``rank``.
+
+        ACT: tRRD/tFAW/tRFC and the command bus; PRE: the command bus;
+        RD/WR: the channel's column gates (tCCD and bus turnaround),
+        the tRTRS rank switch, and the command bus.
+        """
+        gate = self.next_cmd
+        if command is ACT:
+            act = self.ranks[rank].earliest_act()
+            return act if act > gate else gate
+        if command is PRE:
+            return gate
+        if command is RD:
+            col = self.next_rd
+        elif command is WR:
+            col = self.next_wr
         else:
             raise ValueError(f"unsupported command {command}")
-        return max(gate, self.next_cmd)
+        if col > gate:
+            gate = col
+        last = self._last_col_rank
+        if last is not None and last != rank:
+            # Approximation: the switch penalty rides on the existing
+            # column gates, so just add tRTRS to the later of the two.
+            switch = min(self.next_rd, self.next_wr) + self.timing.tRTRS
+            if switch > gate:
+                gate = switch
+        return gate
 
     def can_issue(self, command: Command, rank: int, bank: int,
                   cycle: int) -> bool:
@@ -109,17 +151,9 @@ class Channel:
                                              self.bank_arrays.next_pre[sl])
                      if row >= 0]
         if not open_pres:
-            return self.earliest(Command.REF, rank, 0)
+            return self.earliest(REF, rank, 0)
         # PRE is gated only by the bank's next_pre and the command bus.
         return max(min(open_pres), self.next_cmd)
-
-    def _rank_switch_gate(self, rank: int) -> int:
-        """Extra delay when the data bus switches ranks (tRTRS)."""
-        if self._last_col_rank is None or self._last_col_rank == rank:
-            return 0
-        # Approximation: the switch penalty rides on the existing
-        # column gates, so just add tRTRS to the later of the two.
-        return min(self.next_rd, self.next_wr) + self.timing.tRTRS
 
     # ------------------------------------------------------------------
     # Command issue

@@ -42,6 +42,13 @@ class CommandKind(enum.Enum):
     CHANNEL = "channel"
 
 
+#: Plain module globals for the scheduler's and channel's hot paths:
+#: reading a member as ``Command.ACT`` goes through the enum class's
+#: attribute machinery, about ten times the cost of a global read on
+#: CPython 3.11.
+ACT, PRE, RD, WR, REF = (Command.ACT, Command.PRE, Command.RD, Command.WR,
+                         Command.REF)
+
 #: Scope of each command: ACT/PRE/RD/WR target one bank, PREA/REF a rank.
 COMMAND_SCOPE = {
     Command.ACT: CommandKind.BANK,

@@ -146,6 +146,36 @@ def reference_frfcfs_next_ready(queue, channel, cycle: int,
     return best
 
 
+def reference_earliest(channel, command: Command, rank: int,
+                       bank: int) -> int:
+    """Earliest legal issue cycle of a bank command, from first principles.
+
+    Written out from the timing rules through the ``Bank``/``Rank``
+    views, independent of ``Channel.shared_gate``: the bank's own
+    register; for ACT, tRRD (``rank.next_act``), tFAW over the last
+    four ACTs and tRFC (``refresh_busy_until``); for RD/WR, the
+    channel's column gate and, on a rank switch, tRTRS after the
+    earlier of the two column gates; and the command bus for all.
+    """
+    rk = channel.ranks[rank]
+    bk = rk.banks[bank]
+    if command is Command.ACT:
+        gate = max(bk.next_act, rk.next_act, rk.refresh_busy_until)
+        if len(rk._act_history) >= 4:
+            gate = max(gate, rk._act_history[-4] + channel.timing.tFAW)
+    elif command is Command.PRE:
+        gate = bk.next_pre
+    else:
+        is_read = command is Command.RD
+        gate = max(bk.next_rd if is_read else bk.next_wr,
+                   channel.next_rd if is_read else channel.next_wr)
+        last = channel._last_col_rank
+        if last is not None and last != rank:
+            gate = max(gate, min(channel.next_rd, channel.next_wr)
+                       + channel.timing.tRTRS)
+    return max(gate, channel.next_cmd)
+
+
 class CommandLogViolation(AssertionError):
     pass
 

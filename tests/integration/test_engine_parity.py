@@ -79,6 +79,51 @@ def test_eight_core_parity(mechanism):
     assert_parity(cfg, "zipf")
 
 
+# ----------------------------------------------------------------------
+# Lazy core stepping: the event engine steps a core only when its bid
+# is due, a completion reached it, or warmup ends, and catches the rest
+# up at the end of the run.  These cases cover the paths where a
+# lagging core could leak into the result.
+# ----------------------------------------------------------------------
+
+def _eight_core_config(**kwargs):
+    return tiny_config(mechanism="chargecache", num_cores=8, channels=2,
+                       row_policy="closed", instruction_limit=1200,
+                       warmup=2000, **kwargs)
+
+
+def test_eight_core_idle_finished_parity():
+    """Finished cores stop executing; the rest keep lazy bids."""
+    cfg = replace(_eight_core_config(), idle_finished_cores=True)
+    assert_parity(cfg, "zipf")
+    # Cores finished at different cycles, so some sat idle.
+    assert len(set(_run(cfg, "zipf").core_cycles)) > 1
+
+
+def test_eight_core_truncated_parity():
+    """A truncated run ends with lagging cores, caught up before the
+    IPCs and retired counts are read."""
+    cfg = replace(_eight_core_config(), instruction_limit=10 ** 7)
+    assert_parity(cfg, "zipf", max_mem_cycles=4_000)
+    assert _run(cfg.with_engine("event"), "zipf", 4_000).truncated
+
+
+@pytest.mark.parametrize("engine", ("dense", "event"))
+def test_eight_core_batch_matches_serial(engine):
+    """``run_batch`` replays one tape for every variant; each result
+    equals the variant's own serial run, and the event engine's batch
+    equals the dense engine's."""
+    base = _eight_core_config().with_engine(engine)
+    configs = [base.with_mechanism(m) for m in ("none", "chargecache")]
+    batch = System.run_batch(configs, _traces(base, "zipf"),
+                             max_mem_cycles=600_000)
+    dense = [_run(cfg.with_engine("dense"), "zipf") for cfg in configs]
+    for got, want in zip(batch, dense):
+        for field in PARITY_FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
+    assert batch[0].activations > 0
+
+
 def test_streaming_parity_with_writes_and_drains():
     cfg = tiny_config(mechanism="chargecache", instruction_limit=4000)
     assert_parity(cfg, "stream")

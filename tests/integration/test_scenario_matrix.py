@@ -244,6 +244,30 @@ class TestMultiRankWakeBid:
                                         cycles=20_000)
         assert actions > 100
 
+    def test_audit_catches_an_overshooting_bid(self, monkeypatch):
+        """The audit has teeth, because ``tick`` ignores the bid.
+
+        The mutant bids 8 cycles late and also stores that overshoot as
+        the controller's standing bid.  ``tick`` always does the full
+        work, so the actions the real bid covered still happen and the
+        audit fails.  If ``tick`` skipped work on the strength of the
+        standing bid, it would sleep through those cycles and the audit
+        would pass vacuously.
+        """
+        real = MemoryController.next_event_cycle
+
+        def overshooting(self, cycle):
+            self._wake_cache = None
+            bid = real(self, cycle) + 8
+            self._wake_cache = (self._bid_key(), bid)
+            return bid
+
+        monkeypatch.setattr(MemoryController, "next_event_cycle",
+                            overshooting)
+        with pytest.raises(AssertionError, match="overshot"):
+            _drive_and_audit_bids(2, DDR3_1600, seed=1, row_policy="open",
+                                  cycles=20_000)
+
     def test_wake_bid_exact_under_refresh_pressure(self):
         """Short tREFI keeps both ranks' refreshes overlapping, the
         regime where a single-rank assumption in the bid would bite."""

@@ -13,7 +13,11 @@ mechanism wake).  These tests pin the properties those bids must keep:
   than dense on mixed phases, and its visits-per-command stays under a
   budget; regressing the bid to a blanket ``cycle + 1`` busts it.
 * **Scheduler work** — the FR-FCFS gates (``Channel.earliest`` calls)
-  computed per issued command stay under a budget in both engines.
+  and the queued banks the scan walks, per issued command, stay under
+  budgets in both engines.
+* **Per-visit work** — on an eight-core, two-channel platform the
+  event engine steps only the cores and ticks only the controllers
+  that can act at a visit, well under the dense engine's 8 and 2.
 """
 
 from __future__ import annotations
@@ -135,3 +139,67 @@ def test_mixed_phase_earliest_budget(engine, monkeypatch):
     assert per_command <= 7.0, (
         f"{per_command:.2f} Channel.earliest calls per command — the "
         "scheduler is recomputing gates it already has")
+
+
+@pytest.mark.parametrize("engine", ("dense", "event"))
+def test_mixed_phase_scan_bank_budget(engine):
+    """The FR-FCFS scan walks each queue's banks once per state change.
+
+    ``FRFCFSScheduler.banks_examined`` counts queued banks walked by
+    rebuilt scans: 4.3 per issued command here in both engines.
+    Rebuilding on every ``choose`` and bid (no kept table) gives 10.2
+    (dense) and 9.5 (event).
+    """
+    cfg = tiny_config("chargecache", instruction_limit=20_000,
+                      warmup=1_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    system = System(replace(cfg, engine=engine),
+                    [iter(_mixed_phase_trace(org))])
+    system.run(max_mem_cycles=600_000)
+    commands = sum(ch.num_acts + ch.num_pres + ch.num_rds + ch.num_wrs
+                   + ch.num_refs
+                   for ch in (c.channel for c in system.controllers))
+    banks = sum(c.scheduler.banks_examined for c in system.controllers)
+    assert commands > 0
+    per_command = banks / commands
+    assert per_command <= 6.0, (
+        f"{per_command:.2f} banks scanned per command — the scheduler "
+        "rescans queues whose state did not change")
+
+
+def _eight_core_mixed_phase(engine: str):
+    cfg = tiny_config("chargecache", num_cores=8, channels=2,
+                      instruction_limit=20_000, warmup=1_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    system = System(replace(cfg, engine=engine),
+                    [iter(_mixed_phase_trace(org, seed=core + 1))
+                     for core in range(8)])
+    return system, system.run(max_mem_cycles=600_000)
+
+
+def test_eight_core_per_visit_work_budget():
+    """Each event-engine visit costs what can act, not all components.
+
+    ``System.core_steps`` counts cores stepped to CPU time and
+    ``System.controller_ticks`` full controller ticks.  The dense
+    engine does both for every core and controller on every cycle (8
+    and 2 per visit here), as did the event engine before lazy core
+    stepping and the idle-controller skip.  The event engine measures
+    0.55 core steps and 1.52 ticks per visit, with identical results.
+    """
+    dense, dense_result = _eight_core_mixed_phase("dense")
+    assert dense.core_steps == 8 * dense.visited_cycles
+    assert dense.controller_ticks == 2 * dense.visited_cycles
+
+    event, event_result = _eight_core_mixed_phase("event")
+    for field in PARITY_FIELDS:
+        assert getattr(event_result, field) == \
+            getattr(dense_result, field), field
+    steps = event.core_steps / event.visited_cycles
+    ticks = event.controller_ticks / event.visited_cycles
+    assert steps <= 1.0, (
+        f"{steps:.2f} core steps per visit — cores whose bids are not "
+        "due are being stepped")
+    assert ticks <= 1.75, (
+        f"{ticks:.2f} controller ticks per visit — controllers whose "
+        "standing bids lie beyond the visit are being ticked")
