@@ -18,6 +18,13 @@ class AddressMapper:
 
     def __init__(self, organization: Organization):
         self.org = organization
+        # (shift, mask) per coordinate, in decode_into's field order.
+        # Every field lies below the modelled capacity, so masking
+        # wraps out-of-range lines exactly as Organization.decode does.
+        layout = organization._layout
+        (self._ch, self._ra, self._ba, self._ro, self._co) = (
+            layout[name] for name in
+            ("channel", "rank", "bank", "row", "column"))
 
     def decode(self, line_address: int) -> DecodedAddress:
         return self.org.decode(line_address)
@@ -28,12 +35,17 @@ class AddressMapper:
 
     def decode_into(self, request) -> None:
         """Fill a request's channel/rank/bank/row/column fields."""
-        d = self.org.decode(request.line_address)
-        request.channel = d.channel
-        request.rank = d.rank
-        request.bank = d.bank
-        request.row = d.row
-        request.column = d.column
+        line = request.line_address
+        shift, mask = self._ch
+        request.channel = (line >> shift) & mask
+        shift, mask = self._ra
+        request.rank = (line >> shift) & mask
+        shift, mask = self._ba
+        request.bank = (line >> shift) & mask
+        shift, mask = self._ro
+        request.row = (line >> shift) & mask
+        shift, mask = self._co
+        request.column = (line >> shift) & mask
 
     # ------------------------------------------------------------------
     # Locality helpers (used by synthetic workloads and tests)

@@ -7,8 +7,10 @@ Responsibilities (paper Table 1 configuration):
 * FR-FCFS scheduling with watermark-based write draining.
 * Open-row / closed-row buffer management.
 * Refresh: one REF per rank every tREFI, preceded by precharging.
-* Hosting the latency mechanism: lookup on ACT, insert on PRE, and
-  periodic invalidation maintenance (ChargeCache).
+* Hosting the latency mechanism: lookup on ACT, insert on PRE.  Apart
+  from resetting its statistics, the controller calls the mechanism
+  nowhere else (mechanisms are purely reactive, see
+  :mod:`repro.core.timing_policy`).
 """
 
 from __future__ import annotations
@@ -170,10 +172,11 @@ class MemoryController:
         at visited cycles, and not while :meth:`sleeps_through` holds.
         Both produce the same command stream because nothing here
         depends on *how* the clock reached ``cycle``: completions pop by
-        timestamp, mechanism maintenance is batch-exact, and scheduling
-        reads only current queue/bank state.  ``tick`` itself never
-        consults the standing bid, so a direct call (the dense engine,
-        the bid audit in the tests) always does the full work.
+        timestamp, the mechanism is consulted only at ACT and PRE, and
+        scheduling reads only current queue/bank state.  ``tick``
+        itself never consults the standing bid, so a direct call (the
+        dense engine, the bid audit in the tests) always does the full
+        work.
         """
         events = self._read_events
         while events and events[0][0] <= cycle:
@@ -183,15 +186,13 @@ class MemoryController:
             if req.callback is not None:
                 req.callback(req)
 
-        self.mechanism.maintain(cycle)
-
         blocked = self._refresh_step(cycle)
         if blocked is None:
             self._note_issue()
             return  # a refresh-related command was issued this cycle
 
         queue = self._select_queue()
-        if queue:
+        if queue._items:
             decision = self.scheduler.choose(queue, self.channel, cycle,
                                              blocked)
             if decision is not None:
@@ -240,10 +241,11 @@ class MemoryController:
         lower bound (never an overestimate) on the next cycle where
         :meth:`tick` would do anything - fire a read completion, make
         refresh progress, issue a scheduled command or a pending
-        precharge, or run a mechanism sweep.  The bound is valid until
-        the next visited cycle, because every state change (enqueue,
-        issue, completion) happens at visited cycles and the engine
-        recomputes after each one.
+        precharge.  The bound is valid until the next visited cycle,
+        because every state change (enqueue, issue, completion) happens
+        at visited cycles and the engine recomputes after each one.
+        The latency mechanism has no term: it acts only when an ACT or
+        PRE issues, which this bid covers.
 
         Multi-rank channels: the refresh loop, the scheduler bound and
         the pending-PRE scan below each iterate every rank, so the bid
@@ -254,8 +256,10 @@ class MemoryController:
         # All the timing state this bid derives from changes only on
         # command issues, queue pushes/removals, or write-forwards, so
         # a bid computed earlier stays valid until one of those version
-        # counters moves (or the bid cycle itself is reached).
-        key = self._bid_key()
+        # counters moves (or the bid cycle itself is reached).  The
+        # key is :meth:`_bid_key`, built inline on this per-visit path.
+        key = (self._issue_count, self._forward_count,
+               self.read_q.version, self.write_q.version)
         if self._wake_cache is not None:
             cached_key, bid = self._wake_cache
             if cached_key == key and bid > cycle:
@@ -268,7 +272,7 @@ class MemoryController:
         # scheduling; wake when their refresh can make progress.
         # Ranks due later wake the controller at the due cycle.
         blocked = NO_BLOCKED_RANKS
-        first_due = self.refresh.first_due()
+        first_due = self.refresh.first_due
         if first_due > cycle:
             if first_due < nxt:
                 nxt = first_due
@@ -294,7 +298,7 @@ class MemoryController:
         # change only at visited cycles - where this bid is recomputed
         # - so the selection provably cannot flip during a skip.
         queue = self._select_queue()
-        if queue:
+        if queue._items:
             t = self.scheduler.next_ready_cycle(queue, self.channel,
                                                 cycle, blocked)
             if t < nxt:
@@ -320,9 +324,6 @@ class MemoryController:
                 if t < nxt:
                     nxt = t
 
-        t = self.mechanism.next_wake(cycle)
-        if t < nxt:
-            nxt = t
         nxt = nxt if nxt > cycle else cycle + 1
         self._wake_cache = (key, nxt)
         return nxt
@@ -337,7 +338,7 @@ class MemoryController:
         Returns the set of refresh-blocked ranks, or None when a
         command was issued (the channel's one-command budget is spent).
         """
-        if cycle < self.refresh.first_due():
+        if cycle < self.refresh.first_due:
             return NO_BLOCKED_RANKS
         blocked = frozenset(
             rank_idx for rank_idx in range(self._num_ranks)
@@ -380,7 +381,7 @@ class MemoryController:
         and repeat), making command timing depend on how often the
         controller is polled.
         """
-        wq_len = len(self.write_q)
+        wq_len = len(self.write_q._items)
         if self._drain_writes:
             if wq_len <= self._wq_low:
                 self._drain_writes = False
@@ -388,7 +389,7 @@ class MemoryController:
             self._drain_writes = True
         if self._drain_writes:
             return self.write_q
-        if self.read_q.is_empty and wq_len:
+        if wq_len and not self.read_q._items:
             return self.write_q  # nothing to read: sneak writes out
         return self.read_q
 
@@ -478,9 +479,6 @@ class MemoryController:
     def has_work(self) -> bool:
         return bool(self.read_q or self.write_q or self._read_events
                     or self._pending_pre)
-
-    def outstanding_reads(self) -> int:
-        return len(self.read_q) + len(self._read_events)
 
     def active_cycles(self, cycle: int) -> int:
         """Bank-open cycles accumulated since the last stats reset."""

@@ -118,9 +118,11 @@ class ChargeCache(LatencyMechanism):
     def maintain(self, cycle: int) -> None:
         """Advance the IIC/EC invalidation counters to ``cycle``.
 
-        Runs on every controller tick, so it returns at once before the
-        earliest IIC wrap over all tables: advancing an invalidator
-        that has not wrapped changes nothing.
+        Called at the start of every ACT and PRE, so it returns at once
+        before the earliest IIC wrap over all tables: advancing an
+        invalidator that has not wrapped changes nothing.  No caller
+        needs to visit the wraps in between, because
+        :meth:`PeriodicInvalidator.advance_to` is batch-exact.
         """
         if cycle < self._next_wrap:
             return
@@ -129,23 +131,6 @@ class ChargeCache(LatencyMechanism):
             invalidator.advance_to(cycle)
             wrap = min(wrap, invalidator.next_wrap_cycle())
         self._next_wrap = wrap
-
-    def next_wake(self, cycle: int) -> int:
-        """Next IIC wrap across all tables (event-engine wake-up).
-
-        Registering the sweep deadline keeps invalidations happening at
-        the hardware scheme's absolute cycles even when the controller
-        is otherwise idle.  Tables with no valid entries have nothing
-        to invalidate, so they demand no wake-up.
-        """
-        del cycle
-        if self.unbounded:
-            return super().next_wake(0)
-        wake = super().next_wake(0)
-        for table, invalidator in zip(self.tables, self.invalidators):
-            if len(table) and invalidator.next_wrap_cycle() < wake:
-                wake = invalidator.next_wrap_cycle()
-        return wake
 
     # ------------------------------------------------------------------
 

@@ -34,15 +34,13 @@ class HCRAC:
         self.num_sets = entries // associativity
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("entries/associativity must be a power of two")
-        # Way-stable storage: tags[set][way] is None when invalid.
-        self._tags: List[List[Optional[int]]] = [
-            [None] * associativity for _ in range(self.num_sets)]
-        self._stamp: List[List[int]] = [
-            [0] * associativity for _ in range(self.num_sets)]
+        # Way-stable flat storage, indexed set-major by
+        # ``set * assoc + way`` (the IIC/EC entry numbering); a tag of
+        # None marks an invalid way.
+        self._tags: List[Optional[int]] = [None] * entries
+        self._stamp: List[int] = [0] * entries
         self._use_counter = 0
-        # Incremental valid-entry count: the hot paths (the event
-        # engine polls ``len(table)`` every wake computation) must not
-        # pay an O(entries) scan.
+        # Incremental valid-entry count, so ``len(table)`` is O(1).
         self._valid = 0
         # Statistics.
         self.insertions = 0
@@ -52,46 +50,49 @@ class HCRAC:
     # ------------------------------------------------------------------
 
     def _index(self, key: int) -> Tuple[int, int]:
+        """(first flat entry of the key's set, tag)."""
         set_idx = key & (self.num_sets - 1)
         tag = key >> (self.num_sets.bit_length() - 1)
-        return set_idx, tag
+        return set_idx * self.associativity, tag
+
+    def _find(self, base: int, tag: Optional[int]) -> int:
+        """Flat entry holding ``tag`` in the set at ``base``, or -1."""
+        tags = self._tags
+        for entry in range(base, base + self.associativity):
+            if tags[entry] == tag:
+                return entry
+        return -1
 
     def lookup(self, key: int, touch: bool = True) -> bool:
         """True if ``key`` is present; updates LRU state when ``touch``."""
-        set_idx, tag = self._index(key)
-        tags = self._tags[set_idx]
-        for way in range(self.associativity):
-            if tags[way] == tag:
-                if touch:
-                    self._use_counter += 1
-                    self._stamp[set_idx][way] = self._use_counter
-                return True
-        return False
+        entry = self._find(*self._index(key))
+        if entry < 0:
+            return False
+        if touch:
+            self._use_counter += 1
+            self._stamp[entry] = self._use_counter
+        return True
 
     def insert(self, key: int) -> None:
         """Insert ``key``, evicting the LRU way of its set if needed."""
-        set_idx, tag = self._index(key)
-        tags = self._tags[set_idx]
-        stamps = self._stamp[set_idx]
+        base, tag = self._index(key)
         self._use_counter += 1
         # Hit: refresh the stamp (re-insertion of a cached row).
-        for way in range(self.associativity):
-            if tags[way] == tag:
-                stamps[way] = self._use_counter
-                return
-        # Free way if available, else LRU eviction.
-        victim = None
-        for way in range(self.associativity):
-            if tags[way] is None:
-                victim = way
-                break
-        if victim is None:
-            victim = min(range(self.associativity), key=lambda w: stamps[w])
+        entry = self._find(base, tag)
+        if entry >= 0:
+            self._stamp[entry] = self._use_counter
+            return
+        # Free way if available, else LRU eviction (the first way
+        # holding the minimum stamp).
+        entry = self._find(base, None)
+        if entry < 0:
+            entry = min(range(base, base + self.associativity),
+                        key=self._stamp.__getitem__)
             self.evictions += 1
         else:
             self._valid += 1
-        tags[victim] = tag
-        stamps[victim] = self._use_counter
+        self._tags[entry] = tag
+        self._stamp[entry] = self._use_counter
         self.insertions += 1
 
     def invalidate_entry(self, entry_index: int) -> bool:
@@ -102,29 +103,25 @@ class HCRAC:
         """
         if not 0 <= entry_index < self.entries:
             raise IndexError(f"entry {entry_index} out of range")
-        set_idx, way = divmod(entry_index, self.associativity)
-        if self._tags[set_idx][way] is None:
+        if self._tags[entry_index] is None:
             return False
-        self._tags[set_idx][way] = None
+        self._tags[entry_index] = None
         self._valid -= 1
         self.invalidations += 1
         return True
 
     def invalidate_key(self, key: int) -> bool:
         """Invalidate a specific row address if present."""
-        set_idx, tag = self._index(key)
-        for way in range(self.associativity):
-            if self._tags[set_idx][way] == tag:
-                self._tags[set_idx][way] = None
-                self._valid -= 1
-                self.invalidations += 1
-                return True
-        return False
+        entry = self._find(*self._index(key))
+        if entry < 0:
+            return False
+        self._tags[entry] = None
+        self._valid -= 1
+        self.invalidations += 1
+        return True
 
     def clear(self) -> None:
-        for set_idx in range(self.num_sets):
-            for way in range(self.associativity):
-                self._tags[set_idx][way] = None
+        self._tags[:] = [None] * self.entries
         self._valid = 0
 
     # ------------------------------------------------------------------

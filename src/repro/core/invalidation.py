@@ -60,10 +60,12 @@ class PeriodicInvalidator:
         k = self.hcrac.entries
         if wraps >= k:
             # One or more full sweeps elapsed: everything is stale.
+            # Count the valid entries as the per-wrap sweep would have.
+            cleared = self.hcrac.valid_count
+            self.hcrac.invalidations += cleared
             self.hcrac.clear()
             self.sweeps += wraps // k
             wraps %= k
-            cleared = k
         for _ in range(wraps):
             if self.hcrac.invalidate_entry(self.entry_counter):
                 cleared += 1
@@ -76,11 +78,8 @@ class PeriodicInvalidator:
     def next_wrap_cycle(self) -> int:
         """Cycle of the next IIC wrap (the next single-entry sweep step).
 
-        Event-engine wake-up hook: :meth:`advance_to` is batch-exact,
-        so correctness never requires being called at the wrap itself,
-        but registering the wrap keeps the sweep running on schedule
-        (entries are invalidated at the same absolute cycles the
-        hardware scheme would) instead of only at command boundaries.
+        Before this cycle :meth:`advance_to` changes nothing, so a
+        caller may skip it until then.
         """
         return self._last_cycle + self.interval
 

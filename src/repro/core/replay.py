@@ -11,10 +11,10 @@ and feeds the recorded event stream back through it
 
 **Why matching decisions imply a bit-identical run.**  The simulated
 system interacts with a latency mechanism only through the values
-``on_activate`` returns; ``on_precharge``/``maintain`` mutate mechanism
-state without feeding anything back, and ``next_wake`` only shapes the
-event engine's visited-cycle set, which engine parity guarantees is
-statistically invisible.  So if variant B, fed the witness's event
+``on_activate`` returns: the controller calls nothing else on it but
+``on_precharge`` and ``reset_stats``, which feed nothing back, and
+mechanisms are purely reactive, so they cannot shape which cycles the
+event engine visits.  So if variant B, fed the witness's event
 stream, makes the same decision at every decision point, then by
 induction over decision points B's full closed-loop simulation follows
 the witness's trajectory exactly: identical decisions produce identical
@@ -71,10 +71,6 @@ class RecordingMechanism:
     def __init__(self, inner: LatencyMechanism, log: MechanismEventLog):
         self._inner = inner
         self._log = log
-        # Called on every controller tick and bid, and never logged:
-        # bind them straight to the inner mechanism.
-        self.maintain = inner.maintain
-        self.next_wake = inner.next_wake
 
     def on_activate(self, rank, bank, row, core_id, cycle):
         timings = self._inner.on_activate(rank, bank, row, core_id, cycle)

@@ -8,8 +8,13 @@ the memory controller may use.  The controller calls:
   defaults).
 * :meth:`LatencyMechanism.on_precharge` when it issues a PRE - this is
   where ChargeCache learns about highly-charged rows.
-* :meth:`LatencyMechanism.maintain` once per controller tick, used by
-  ChargeCache's periodic invalidation counters.
+
+Mechanisms are purely reactive: apart from ``reset_stats`` at the
+warmup boundary, the controller calls them at ACT and PRE only.
+Time-driven state (ChargeCache's periodic invalidation) is brought up
+to date by :meth:`LatencyMechanism.maintain` from inside those calls,
+which is sound because that housekeeping is batch-exact in the cycle
+number.
 
 Mechanisms are instantiated per memory channel, matching the paper's
 per-channel replication.
@@ -20,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.registry import register_mechanism
-from repro.dram.timing import NEVER, ReducedTimings, TimingParameters
+from repro.dram.timing import ReducedTimings, TimingParameters
 
 
 class LatencyMechanism:
@@ -56,21 +61,13 @@ class LatencyMechanism:
         """Observe a PRE command (row closes, cells fully charged)."""
 
     def maintain(self, cycle: int) -> None:
-        """Perform periodic housekeeping up to ``cycle``."""
+        """Perform periodic housekeeping up to ``cycle``.
 
-    def next_wake(self, cycle: int) -> int:
-        """Earliest cycle at which this mechanism next needs a
-        :meth:`maintain` call.
-
-        The event engine no longer polls :meth:`maintain` every cycle,
-        so a mechanism with time-driven state registers its next
-        deadline here instead of relying on being ticked.  ``NEVER``
-        (the default) means the mechanism is purely reactive - its
-        housekeeping is batch-exact and can run lazily at the next
-        command boundary.
+        Must be batch-exact: one call at ``cycle`` leaves the same
+        state as any sequence of earlier calls followed by it.  The
+        controller never calls this; a mechanism with time-driven state
+        calls it at the start of its own ACT/PRE handlers.
         """
-        del cycle
-        return NEVER
 
     def reset_stats(self) -> None:
         self.lookups = 0
@@ -149,10 +146,6 @@ class CombinedMechanism(LatencyMechanism):
     def maintain(self, cycle):
         for mechanism in self.mechanisms:
             mechanism.maintain(cycle)
-
-    def next_wake(self, cycle):
-        return min(mechanism.next_wake(cycle)
-                   for mechanism in self.mechanisms)
 
     def reset_stats(self):
         super().reset_stats()

@@ -14,13 +14,17 @@ Design notes:
   drained every memory cycle.
 
 LRU is implemented with per-set ``OrderedDict`` (move-to-end on access,
-pop-first on eviction), which is both exact and fast.
+pop-first on eviction), which is both exact and fast.  Sets are
+allocated on first touch: a short run touches few of the 4096 sets, and
+a finished ``System`` is cyclic garbage (the LLC's ``hit_notify``, the
+cores' issue paths and request callbacks close reference cycles), so
+eager sets would stay alive until a gen-2 collection.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, List, Tuple
+from collections import OrderedDict, defaultdict
+from typing import Callable, DefaultDict, Dict, List, Tuple
 
 from repro.controller.request import Request, RequestType
 
@@ -63,9 +67,9 @@ class SharedCache:
 
         self.num_sets = cache_config.num_sets
         self.assoc = cache_config.associativity
-        # _sets[i]: OrderedDict mapping tag -> dirty flag (LRU order).
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(self.num_sets)]
+        # _sets[i]: OrderedDict mapping tag -> dirty flag (LRU order),
+        # created when set i is first touched.
+        self._sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
         self._mshrs: Dict[int, MSHREntry] = {}
         self._retry_reads: List[Request] = []
         self._retry_writes: List[Request] = []
@@ -247,7 +251,7 @@ class SharedCache:
         return tag in lru
 
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def hit_rate(self) -> float:
         accesses = (self.load_hits + self.load_misses

@@ -38,12 +38,13 @@ class Channel:
                  "next_rd", "next_wr", "_last_col_rank", "num_acts",
                  "num_pres", "num_rds", "num_wrs", "num_refs",
                  "num_reduced_acts", "command_log", "log_commands",
-                 "data_bus_busy_cycles")
+                 "data_bus_busy_cycles", "_default_timings")
 
     def __init__(self, timing: TimingParameters, num_ranks: int,
                  num_banks: int, index: int = 0,
                  log_commands: bool = False):
         self.timing = timing
+        self._default_timings = timing.default_timings()
         self.index = index
         # One struct-of-arrays block spans every bank of the channel
         # (rank-major), so rank/channel-wide scans index flat lists.
@@ -163,7 +164,7 @@ class Channel:
                        timings: Optional[ReducedTimings] = None) -> None:
         """Issue an ACT; ``timings`` may lower tRCD/tRAS for this row."""
         if timings is None:
-            timings = self.timing.default_timings()
+            timings = self._default_timings
         self._claim_cmd_bus(cycle)
         rk = self.ranks[rank]
         if cycle < rk.earliest_act():

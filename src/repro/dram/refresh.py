@@ -50,7 +50,9 @@ class RefreshScheduler:
         # Next group each rank will refresh (continues the rotation).
         self._next_group = [0] * num_ranks
         self._next_due = [timing.tREFI] * num_ranks
-        self._first_due = timing.tREFI
+        #: Earliest bus cycle at which any rank's next REF is due
+        #: (``NEVER`` with refresh disabled).
+        self.first_due = timing.tREFI if enabled else NEVER
         self.refreshes_issued = [0] * num_ranks
 
     # ------------------------------------------------------------------
@@ -61,10 +63,6 @@ class RefreshScheduler:
         """Bus cycle at which the next REF for ``rank`` becomes due."""
         return self._next_due[rank] if self.enabled else NEVER
 
-    def first_due(self) -> int:
-        """Earliest bus cycle at which any rank's next REF is due."""
-        return self._first_due if self.enabled else NEVER
-
     def rank_needs_refresh(self, rank: int, cycle: int) -> bool:
         return self.enabled and cycle >= self._next_due[rank]
 
@@ -74,7 +72,7 @@ class RefreshScheduler:
         self._group_time[rank][group] = cycle
         self._next_group[rank] = (group + 1) % self.num_groups
         self._next_due[rank] += self.timing.tREFI
-        self._first_due = min(self._next_due)
+        self.first_due = min(self._next_due)
         self.refreshes_issued[rank] += 1
 
     # ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the ChargeCache mechanism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ChargeCacheConfig
 from repro.core.chargecache import ChargeCache, row_key
@@ -142,3 +143,70 @@ class TestStats:
         cc.on_precharge(0, 0, 1, 0, 0)
         cc.on_precharge(0, 0, 2, 0, 1)
         assert cc.valid_entries() == 2
+
+
+@st.composite
+def _act_pre_streams(draw):
+    """A ChargeCache configuration plus an ACT/PRE stream.
+
+    Events pick from a small pool of rows, many of them in the same
+    HCRAC set, so hits and evictions are common.  Gaps are drawn in
+    IIC intervals: none, a few, or up to three full sweeps of the
+    table, so one ACT/PRE can follow many wraps.
+    """
+    entries = draw(st.sampled_from((16, 32, 64, 128, 256)))
+    assoc = draw(st.sampled_from((1, 2, 4)))
+    sharing = draw(st.sampled_from(("per-core", "shared")))
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 1), st.integers(0, 3),             # rank, bank
+        st.builds(lambda m, off: m * entries + off,       # row
+                  st.integers(0, 3), st.integers(0, 1)),
+        st.integers(0, 1)), min_size=1, max_size=16))     # core
+    events = draw(st.lists(st.tuples(
+        st.booleans(),                                    # ACT or PRE
+        st.one_of(st.just(0), st.integers(0, 4),
+                  st.integers(0, 3 * entries)),           # wraps
+        st.integers(0, 10 ** 6),                          # offset
+        st.sampled_from(rows)), min_size=1, max_size=80))
+    return entries, assoc, sharing, events
+
+
+class TestReactiveOracle:
+    """Consulting ChargeCache only at ACT and PRE loses nothing.
+
+    Instance A is also maintained at every IIC wrap between events, the
+    schedule the event engine used to visit; instance B sees only its
+    ACT/PRE calls.  Because the IIC/EC sweep is batch-exact, both must
+    agree at every event on the decision, every table's contents and
+    every table's invalidation count.
+    """
+
+    @given(_act_pre_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_wrap_maintenance_changes_nothing(self, stream):
+        entries, assoc, sharing, events = stream
+        polled, reactive = (
+            make_cc(num_cores=4, entries=entries, associativity=assoc,
+                    sharing=sharing, time_scale=64.0)
+            for _ in range(2))
+        interval = polled.invalidators[0].interval
+        assert all(inv.interval == interval
+                   for inv in polled.invalidators)
+        cycle = 0
+        for is_act, wraps, offset, (rank, bank, row, core) in events:
+            start = cycle
+            cycle += wraps * interval + offset % interval
+            for wrap in range(start // interval + 1,
+                              cycle // interval + 1):
+                polled.maintain(wrap * interval)
+            if is_act:
+                assert polled.on_activate(rank, bank, row, core, cycle) \
+                    == reactive.on_activate(rank, bank, row, core, cycle)
+            else:
+                polled.on_precharge(rank, bank, row, core, cycle)
+                reactive.on_precharge(rank, bank, row, core, cycle)
+            for a, b in zip(polled.tables, reactive.tables):
+                assert a._tags == b._tags
+                assert a._stamp == b._stamp
+                assert a.invalidations == b.invalidations
+        assert polled.hits == reactive.hits

@@ -117,26 +117,63 @@ class TestProperties:
             cache.insert(key)
             assert cache.lookup(key, touch=False)
 
-    @given(st.lists(st.integers(0, 100), max_size=100),
-           st.integers(0, 100))
+    @given(st.sampled_from(((8, 1), (8, 2), (8, 4), (16, 2))),
+           st.lists(st.one_of(
+               st.tuples(st.sampled_from(("insert", "lookup",
+                                          "invalidate_key")),
+                         st.integers(0, 40)),
+               st.tuples(st.just("invalidate_entry"), st.integers(0, 15)),
+               st.tuples(st.just("clear"), st.just(0))), max_size=100))
     @settings(max_examples=100)
-    def test_lookup_matches_reference_model(self, keys, probe):
-        """HCRAC agrees with a brute-force per-set LRU model."""
-        assoc = 2
-        cache = HCRAC(entries=8, associativity=assoc)
-        sets = {}
-        for key in keys:
-            set_idx = key & (cache.num_sets - 1)
-            lru = sets.setdefault(set_idx, [])
-            if key in lru:
-                lru.remove(key)
-            elif len(lru) == assoc:
-                lru.pop(0)
-            lru.append(key)
-            cache.insert(key)
-        probe_set = probe & (cache.num_sets - 1)
-        expected = probe in sets.get(probe_set, [])
-        assert cache.lookup(probe, touch=False) == expected
+    def test_lookup_matches_reference_model(self, shape, ops):
+        """HCRAC agrees with a brute-force way-stable per-set LRU model.
+
+        The model keeps ``ways[set][way]`` explicitly, so
+        ``invalidate_entry`` (set-major numbering) must clear the same
+        way the model does; ``invalidate_key`` and ``clear`` are mixed
+        in with inserts and lookups.
+        """
+        entries, assoc = shape
+        cache = HCRAC(entries=entries, associativity=assoc)
+        num_sets = entries // assoc
+        ways = [[None] * assoc for _ in range(num_sets)]
+        last_use = {}
+        clock = 0
+        for op, arg in ops:
+            if op == "insert":
+                lru = ways[arg % num_sets]
+                clock += 1
+                if arg not in lru:
+                    way = lru.index(None) if None in lru else min(
+                        range(assoc), key=lambda w: last_use[lru[w]])
+                    lru[way] = arg
+                last_use[arg] = clock
+                cache.insert(arg)
+            elif op == "lookup":
+                present = arg in ways[arg % num_sets]
+                if present:
+                    clock += 1
+                    last_use[arg] = clock
+                assert cache.lookup(arg) == present
+            elif op == "invalidate_key":
+                lru = ways[arg % num_sets]
+                present = arg in lru
+                if present:
+                    lru[lru.index(arg)] = None
+                assert cache.invalidate_key(arg) == present
+            elif op == "invalidate_entry":
+                entry = arg % entries
+                set_idx, way = divmod(entry, assoc)
+                present = ways[set_idx][way] is not None
+                ways[set_idx][way] = None
+                assert cache.invalidate_entry(entry) == present
+            else:
+                ways = [[None] * assoc for _ in range(num_sets)]
+                cache.clear()
+            assert len(cache) == sum(key is not None
+                                     for lru in ways for key in lru)
+        for key in range(41):
+            assert (key in cache) == (key in ways[key % num_sets])
 
 
 class TestUnbounded:

@@ -317,7 +317,7 @@ class TestNWayComposition:
         assert flat_offers == nested_offers
         assert flat_lookups == 266 and flat_hits == 266  # lldram: all hit
 
-    def test_three_way_next_wake_and_reset(self, refresh):
+    def test_three_way_reset(self, refresh):
         cfg = SimulationConfig()
         mech = registry.build(
             "chargecache+nuat+aldram",
@@ -327,8 +327,6 @@ class TestNWayComposition:
         assert isinstance(mech, CombinedMechanism)
         assert len(mech.mechanisms) == 3
         mech.on_precharge(0, 0, 5, 0, 10)
-        wake = mech.next_wake(10)
-        assert wake == min(m.next_wake(10) for m in mech.mechanisms)
         mech.on_activate(0, 0, 5, 0, 20)
         mech.reset_stats()
         assert mech.lookups == 0

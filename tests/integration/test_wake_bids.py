@@ -18,6 +18,9 @@ mechanism wake).  These tests pin the properties those bids must keep:
 * **Per-visit work** — on an eight-core, two-channel platform the
   event engine steps only the cores and ticks only the controllers
   that can act at a visit, well under the dense engine's 8 and 2.
+* **Reactive mechanisms** — the controller consults the latency
+  mechanism only when it issues an ACT or a PRE (plus the warmup
+  statistics reset); no per-tick maintenance and no mechanism bid.
 """
 
 from __future__ import annotations
@@ -203,3 +206,36 @@ def test_eight_core_per_visit_work_budget():
     assert ticks <= 1.75, (
         f"{ticks:.2f} controller ticks per visit — controllers whose "
         "standing bids lie beyond the visit are being ticked")
+
+
+class _SpyMechanism:
+    """Forwards to a real mechanism, recording each method called."""
+
+    def __init__(self, inner, called):
+        self._inner = inner
+        self._called = called
+
+    def __getattr__(self, name):
+        value = getattr(self._inner, name)
+        if not callable(value):
+            return value
+
+        def record(*args, **kwargs):
+            self._called.add(name)
+            return value(*args, **kwargs)
+        return record
+
+
+@pytest.mark.parametrize("engine", ("dense", "event"))
+def test_controller_calls_mechanism_only_at_act_and_pre(engine):
+    cfg = tiny_config("chargecache", instruction_limit=20_000,
+                      warmup=1_000)
+    org = Organization.from_config(cfg.dram, cfg.cache.line_bytes)
+    system = System(replace(cfg, engine=engine),
+                    [iter(_mixed_phase_trace(org))])
+    called = set()
+    for controller in system.controllers:
+        controller.mechanism = _SpyMechanism(controller.mechanism, called)
+    result = system.run(max_mem_cycles=600_000)
+    assert result.mechanism_hits > 0
+    assert called == {"on_activate", "on_precharge", "reset_stats"}
