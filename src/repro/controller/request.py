@@ -22,7 +22,9 @@ class Request:
 
     Attributes:
         line_address: cache-line address (byte address >> 6).
-        type: read or write.
+        type: read or write (fixed at construction).
+        is_read/is_write: ``type`` as two flags, filled in once so the
+            per-command paths test a slot instead of an enum member.
         core_id: issuing core (writebacks inherit the evicting core).
         channel/rank/bank/row/column: decoded DRAM coordinates, filled
             in by the controller's address mapper at enqueue time.
@@ -38,10 +40,10 @@ class Request:
             arrives (WRITEs are posted and complete at issue).
     """
 
-    __slots__ = ("id", "line_address", "type", "core_id", "channel",
-                 "rank", "bank", "row", "column", "enqueue_cycle",
-                 "arrival", "issue_cycle", "done_cycle", "needed_act",
-                 "act_was_hit", "callback")
+    __slots__ = ("id", "line_address", "type", "is_read", "is_write",
+                 "core_id", "channel", "rank", "bank", "row", "column",
+                 "enqueue_cycle", "arrival", "issue_cycle", "done_cycle",
+                 "needed_act", "act_was_hit", "callback")
 
     def __init__(self, line_address: int, type: RequestType,
                  core_id: int = 0,
@@ -49,6 +51,8 @@ class Request:
         self.id = next(_request_ids)
         self.line_address = line_address
         self.type = type
+        self.is_read = type is RequestType.READ
+        self.is_write = type is RequestType.WRITE
         self.core_id = core_id
         self.channel = -1
         self.rank = -1
@@ -64,14 +68,6 @@ class Request:
         self.callback = callback
 
     # ------------------------------------------------------------------
-
-    @property
-    def is_read(self) -> bool:
-        return self.type is RequestType.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self.type is RequestType.WRITE
 
     @property
     def latency(self) -> int:

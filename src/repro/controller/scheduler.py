@@ -41,10 +41,10 @@ def required_command(request: Request, channel: Channel) -> Command:
     """The next command this request needs, given current bank state."""
     bank = channel.bank(request.rank, request.bank)
     if bank.open_row is None:
-        return Command.ACT
+        return ACT
     if bank.open_row != request.row:
-        return Command.PRE
-    return Command.RD if request.is_read else Command.WR
+        return PRE
+    return RD if request.is_read else WR
 
 
 class FRFCFSScheduler:

@@ -15,10 +15,13 @@ Design notes:
 
 LRU is implemented with per-set ``OrderedDict`` (move-to-end on access,
 pop-first on eviction), which is both exact and fast.  Sets are
-allocated on first touch: a short run touches few of the 4096 sets, and
-a finished ``System`` is cyclic garbage (the LLC's ``hit_notify``, the
-cores' issue paths and request callbacks close reference cycles), so
-eager sets would stay alive until a gen-2 collection.
+allocated on first touch: a short run touches few of the 4096 sets (a
+``fig9-light`` run makes about 1.4k accesses), so a sweep of short runs
+allocates and frees far fewer containers.  The cache calls back up
+into its system (``hit_notify``, ``current_mem_cycle``, MSHR waiters)
+and its requests call back into it; ``System.run`` drops those
+references on return, so a finished system and its sets are freed by
+reference counting.
 """
 
 from __future__ import annotations

@@ -270,18 +270,48 @@ class System:
         ``max_mem_cycles`` is a safety stop; if hit, the result is
         flagged ``truncated`` and IPCs reflect the partial run.
         Dispatches to the engine named by ``config.engine``.
+
+        A ``System`` is single-use: on return (or on an exception) the
+        run releases the wiring that points back up from the LLC and
+        the cores (:meth:`_release`), so reference counting frees the
+        whole system the moment its caller drops it instead of at a
+        gen-2 collection.  The components stay readable; a second
+        ``run()`` raises :class:`RuntimeError`.
         """
-        self._warmed = self.config.warmup_cpu_cycles == 0
-        # Engine-efficiency instrumentation (not part of RunResult, so
-        # cache keys and artifacts are unaffected): how many bus cycles
-        # the engine visited, how many cores it stepped to CPU time and
-        # how many full controller ticks it ran.
-        self.visited_cycles = 0
-        self.core_steps = 0
-        self.controller_ticks = 0
-        if self.config.engine == "dense":
-            return self._run_dense(max_mem_cycles)
-        return self._run_event(max_mem_cycles)
+        if self.llc.controllers is None:
+            raise RuntimeError("System.run() called twice: a System is "
+                               "single-use, build a new one")
+        try:
+            self._warmed = self.config.warmup_cpu_cycles == 0
+            # Engine-efficiency instrumentation (not part of RunResult,
+            # so cache keys and artifacts are unaffected): how many bus
+            # cycles the engine visited, how many cores it stepped to
+            # CPU time and how many full controller ticks it ran.
+            self.visited_cycles = 0
+            self.core_steps = 0
+            self.controller_ticks = 0
+            if self.config.engine == "dense":
+                return self._run_dense(max_mem_cycles)
+            return self._run_event(max_mem_cycles)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Cut every reference cycle through this system.
+
+        The LLC calls back into the system (``hit_notify``, the
+        ``current_mem_cycle`` lambda, the MSHR waiters' ``_load_done``)
+        and reaches the controllers, whose queued requests call back
+        into the LLC (``callback=SharedCache._fill``), as do its parked
+        reads; each core's ``issue`` is a bound method of the system.
+        Dropping these leaves only downward references.
+        """
+        llc = self.llc
+        llc.hit_notify = llc.mem_cycle = llc.controllers = None
+        llc._mshrs = {}
+        llc._retry_reads = []
+        for core in self.cores:
+            core.issue = None
 
     @classmethod
     def run_batch(cls, configs: Sequence[SimulationConfig],
@@ -305,12 +335,15 @@ class System:
         * **Full run**: the variant is simulated normally (sharing only
           the trace tape), with a
           :class:`~repro.core.replay.RecordingMechanism` logging its
-          decision stream.  Closed-loop timing feedback makes any
-          cross-variant computation sharing *after* the first diverging
-          mechanism decision unsound (a hit changes tRCD, the read
-          completes earlier, the core unblocks earlier, and every
-          downstream cycle shifts), so cycle 0 is the only state-fork
-          point — full runs share nothing downstream of the tape.
+          decision stream (except the last variant's: no later variant
+          can replay against it).  Each full run's ``System`` is
+          dropped before the next is built.  Closed-loop timing
+          feedback makes any cross-variant computation sharing *after*
+          the first diverging mechanism decision unsound (a hit changes
+          tRCD, the read completes earlier, the core unblocks earlier,
+          and every downstream cycle shifts), so cycle 0 is the only
+          state-fork point — full runs share nothing downstream of the
+          tape.
         * **Decision-replay collapse**: before paying for a full run,
           the variant's fresh mechanism state is replayed against every
           witness log so far (:mod:`repro.core.replay`).  If its
@@ -350,7 +383,8 @@ class System:
         witnesses: List = []  # (per-channel logs, RunResult)
         results: List[RunResult] = []
         full_runs = 0
-        for cfg in configs:
+        last = len(configs) - 1
+        for i, cfg in enumerate(configs):
             collapsed = None
             if witnesses:
                 channels = cfg.dram.channels
@@ -372,13 +406,17 @@ class System:
             system = cls(cfg, tape.readers(), enable_rltl=enable_rltl,
                          rltl_time_scale=rltl_time_scale,
                          enable_reuse=enable_reuse, timing=timing)
-            logs = [MechanismEventLog() for _ in system.controllers]
-            for controller, log in zip(system.controllers, logs):
-                controller.mechanism = RecordingMechanism(
-                    controller.mechanism, log)
+            record = i < last
+            if record:
+                logs = [MechanismEventLog() for _ in system.controllers]
+                for controller, log in zip(system.controllers, logs):
+                    controller.mechanism = RecordingMechanism(
+                        controller.mechanism, log)
             result = system.run(max_mem_cycles=max_mem_cycles)
+            del system
             full_runs += 1
-            witnesses.append((logs, result))
+            if record:
+                witnesses.append((logs, result))
             results.append(result)
         if telemetry is not None:
             telemetry["full_runs"] = full_runs

@@ -72,7 +72,7 @@ class Bank:
 
     __slots__ = ("timing", "arrays", "index", "act_cycle", "act_reduced",
                  "open_cycles", "num_acts", "num_reduced_acts",
-                 "last_open_at")
+                 "last_open_at", "_read_to_pre", "_write_to_pre")
 
     def __init__(self, timing: TimingParameters,
                  arrays: Optional[BankTimingArrays] = None, index: int = 0):
@@ -82,6 +82,9 @@ class Bank:
             index = 0
         self.arrays = arrays
         self.index = index
+        # Derived constraints, read on every column command.
+        self._read_to_pre = timing.read_to_pre
+        self._write_to_pre = timing.write_to_pre
         # Bookkeeping for the last activation.
         self.act_cycle = -1
         self.act_reduced = False
@@ -169,54 +172,78 @@ class Bank:
     # Command application
     # ------------------------------------------------------------------
 
+    # The command paths read and write the shared register lists
+    # directly: each scalar view above costs a property call.
+
     def do_activate(self, row: int, cycle: int,
                     timings: ReducedTimings) -> None:
         """Open ``row`` at ``cycle`` using the supplied activation timings."""
-        if self.open_row is not None:
+        arrays = self.arrays
+        i = self.index
+        if arrays.open_row[i] >= 0:
             raise RuntimeError(
-                f"ACT to open bank (row {self.open_row}) at cycle {cycle}")
-        if cycle < self.next_act:
+                f"ACT to open bank (row {arrays.open_row[i]}) at cycle {cycle}")
+        if cycle < arrays.next_act[i]:
             raise RuntimeError(
-                f"ACT at {cycle} violates tRP/tRFC (earliest {self.next_act})")
-        self.open_row = row
+                f"ACT at {cycle} violates tRP/tRFC "
+                f"(earliest {arrays.next_act[i]})")
+        arrays.open_row[i] = row
         self.act_cycle = cycle
         self.last_open_at = cycle
-        self.act_reduced = (timings.trcd < self.timing.tRCD
-                            or timings.tras < self.timing.tRAS)
-        self.next_rd = cycle + timings.trcd
-        self.next_wr = cycle + timings.trcd
-        self.next_pre = max(self.next_pre, cycle + timings.tras)
+        trcd = timings.trcd
+        tras = timings.tras
+        self.act_reduced = (trcd < self.timing.tRCD
+                            or tras < self.timing.tRAS)
+        arrays.next_rd[i] = arrays.next_wr[i] = cycle + trcd
+        next_pre = arrays.next_pre
+        if cycle + tras > next_pre[i]:
+            next_pre[i] = cycle + tras
         self.num_acts += 1
         if self.act_reduced:
             self.num_reduced_acts += 1
 
     def do_read(self, cycle: int) -> None:
-        if self.open_row is None:
+        arrays = self.arrays
+        i = self.index
+        if arrays.open_row[i] < 0:
             raise RuntimeError(f"RD to closed bank at cycle {cycle}")
-        if cycle < self.next_rd:
+        if cycle < arrays.next_rd[i]:
             raise RuntimeError(
-                f"RD at {cycle} violates tRCD/tCCD (earliest {self.next_rd})")
-        self.next_pre = max(self.next_pre, cycle + self.timing.read_to_pre)
+                f"RD at {cycle} violates tRCD/tCCD "
+                f"(earliest {arrays.next_rd[i]})")
+        next_pre = arrays.next_pre
+        if cycle + self._read_to_pre > next_pre[i]:
+            next_pre[i] = cycle + self._read_to_pre
 
     def do_write(self, cycle: int) -> None:
-        if self.open_row is None:
+        arrays = self.arrays
+        i = self.index
+        if arrays.open_row[i] < 0:
             raise RuntimeError(f"WR to closed bank at cycle {cycle}")
-        if cycle < self.next_wr:
+        if cycle < arrays.next_wr[i]:
             raise RuntimeError(
-                f"WR at {cycle} violates tRCD/tCCD (earliest {self.next_wr})")
-        self.next_pre = max(self.next_pre, cycle + self.timing.write_to_pre)
+                f"WR at {cycle} violates tRCD/tCCD "
+                f"(earliest {arrays.next_wr[i]})")
+        next_pre = arrays.next_pre
+        if cycle + self._write_to_pre > next_pre[i]:
+            next_pre[i] = cycle + self._write_to_pre
 
     def do_precharge(self, cycle: int) -> int:
         """Close the open row; returns the row that was open."""
-        if self.open_row is None:
+        arrays = self.arrays
+        i = self.index
+        row = arrays.open_row[i]
+        if row < 0:
             raise RuntimeError(f"PRE to closed bank at cycle {cycle}")
-        if cycle < self.next_pre:
+        if cycle < arrays.next_pre[i]:
             raise RuntimeError(
-                f"PRE at {cycle} violates tRAS/tRTP/tWR (earliest {self.next_pre})")
-        row = self.open_row
-        self.open_row = None
+                f"PRE at {cycle} violates tRAS/tRTP/tWR "
+                f"(earliest {arrays.next_pre[i]})")
+        arrays.open_row[i] = -1
         self.open_cycles += cycle - self.last_open_at
-        self.next_act = max(self.next_act, cycle + self.timing.tRP)
+        next_act = arrays.next_act
+        if cycle + self.timing.tRP > next_act[i]:
+            next_act[i] = cycle + self.timing.tRP
         return row
 
     def do_refresh_block(self, until_cycle: int) -> None:

@@ -38,13 +38,18 @@ class Channel:
                  "next_rd", "next_wr", "_last_col_rank", "num_acts",
                  "num_pres", "num_rds", "num_wrs", "num_refs",
                  "num_reduced_acts", "command_log", "log_commands",
-                 "data_bus_busy_cycles", "_default_timings")
+                 "data_bus_busy_cycles", "_default_timings",
+                 "_read_to_write", "_write_to_read", "_read_latency")
 
     def __init__(self, timing: TimingParameters, num_ranks: int,
                  num_banks: int, index: int = 0,
                  log_commands: bool = False):
         self.timing = timing
         self._default_timings = timing.default_timings()
+        # Derived constraints, read on every column command.
+        self._read_to_write = timing.read_to_write
+        self._write_to_read = timing.write_to_read
+        self._read_latency = timing.read_latency
         self.index = index
         # One struct-of-arrays block spans every bank of the channel
         # (rank-major), so rank/channel-wide scans index flat lists.
@@ -179,7 +184,7 @@ class Channel:
             self.num_reduced_acts += 1
         if self.log_commands:
             self.command_log.append(IssuedCommand(
-                Command.ACT, cycle, self.index, rank, bank, row,
+                ACT, cycle, self.index, rank, bank, row,
                 reduced=rk.banks[bank].act_reduced))
 
     def issue_precharge(self, rank: int, bank: int, cycle: int) -> int:
@@ -190,7 +195,7 @@ class Channel:
         self.num_pres += 1
         if self.log_commands:
             self.command_log.append(IssuedCommand(
-                Command.PRE, cycle, self.index, rank, bank, row))
+                PRE, cycle, self.index, rank, bank, row))
         return row
 
     def issue_read(self, rank: int, bank: int, cycle: int) -> int:
@@ -199,14 +204,14 @@ class Channel:
         t = self.timing
         self.ranks[rank].banks[bank].do_read(cycle)
         self.next_rd = max(self.next_rd, cycle + t.tCCD)
-        self.next_wr = max(self.next_wr, cycle + t.read_to_write)
+        self.next_wr = max(self.next_wr, cycle + self._read_to_write)
         self._last_col_rank = rank
         self.num_rds += 1
         self.data_bus_busy_cycles += t.tBL
         if self.log_commands:
             self.command_log.append(IssuedCommand(
-                Command.RD, cycle, self.index, rank, bank))
-        return cycle + t.read_latency
+                RD, cycle, self.index, rank, bank))
+        return cycle + self._read_latency
 
     def issue_write(self, rank: int, bank: int, cycle: int) -> int:
         """Issue a WR; returns the cycle the burst is fully written."""
@@ -214,13 +219,13 @@ class Channel:
         t = self.timing
         self.ranks[rank].banks[bank].do_write(cycle)
         self.next_wr = max(self.next_wr, cycle + t.tCCD)
-        self.next_rd = max(self.next_rd, cycle + t.write_to_read)
+        self.next_rd = max(self.next_rd, cycle + self._write_to_read)
         self._last_col_rank = rank
         self.num_wrs += 1
         self.data_bus_busy_cycles += t.tBL
         if self.log_commands:
             self.command_log.append(IssuedCommand(
-                Command.WR, cycle, self.index, rank, bank))
+                WR, cycle, self.index, rank, bank))
         return cycle + t.tCWL + t.tBL
 
     def issue_refresh(self, rank: int, cycle: int) -> None:
@@ -229,7 +234,7 @@ class Channel:
         self.num_refs += 1
         if self.log_commands:
             self.command_log.append(IssuedCommand(
-                Command.REF, cycle, self.index, rank))
+                REF, cycle, self.index, rank))
 
     def _claim_cmd_bus(self, cycle: int) -> None:
         if cycle < self.next_cmd:

@@ -235,6 +235,24 @@ class TestRunBatch:
         assert clone.ipcs is not witness.ipcs
         assert clone.extra is not witness.extra
 
+    def test_last_full_run_is_not_recorded(self):
+        """No later variant can replay against the last config's log,
+        so its full run keeps its bare mechanism; earlier ones record."""
+        seen = []
+
+        class SpySystem(System):
+            def run(self, max_mem_cycles=None):
+                seen.append([type(c.mechanism) for c in self.controllers])
+                return super().run(max_mem_cycles=max_mem_cycles)
+
+        configs = [_variant("none"), _variant("chargecache", entries=64)]
+        batch = SpySystem.run_batch(configs, [_trace(configs[0])],
+                                    max_mem_cycles=300_000)
+        assert seen == [[RecordingMechanism], [ChargeCache]]
+        serial = System(configs[1], [_trace(configs[1])]).run(
+            max_mem_cycles=300_000)
+        assert _result_payload(batch[1]) == _result_payload(serial)
+
     def test_rejects_platform_divergence(self):
         base = _variant("none")
         other = dataclasses.replace(_variant("chargecache"), seed=99)
