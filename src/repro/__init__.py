@@ -28,32 +28,7 @@ Subpackages:
 * :mod:`repro.harness` - per-figure/table experiment drivers.
 """
 
-from repro.config import (
-    SimulationConfig,
-    ProcessorConfig,
-    CacheConfig,
-    DRAMConfig,
-    ControllerConfig,
-    ChargeCacheConfig,
-    NUATConfig,
-    single_core_config,
-    eight_core_config,
-    MECHANISMS,
-)
-from repro.core.registry import (
-    canonical_spec,
-    mechanism_names,
-    parse_mechanism_spec,
-    register_mechanism,
-)
-from repro.cpu.system import System, RunResult
-from repro.dram.organization import Organization
-from repro.dram.standards import StandardProfile, profile, profile_for_config
-from repro.dram.timing import DDR3_1600, TimingParameters
-from repro.energy.drampower import PowerParameters, energy_for_run
-from repro.energy.mcpat import hcrac_overhead, overhead_for_config
-from repro.workloads.spec_like import make_trace, WORKLOAD_NAMES
-from repro.workloads.mixes import make_mix_traces, MIX_NAMES
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -90,3 +65,27 @@ __all__ = [
     "MIX_NAMES",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.config": (
+        "SimulationConfig", "ProcessorConfig", "CacheConfig",
+        "DRAMConfig", "ControllerConfig", "ChargeCacheConfig",
+        "NUATConfig", "single_core_config", "eight_core_config",
+        "MECHANISMS",
+    ),
+    "repro.core.registry": (
+        "canonical_spec", "mechanism_names", "parse_mechanism_spec",
+        "register_mechanism",
+    ),
+    "repro.cpu.system": ("System",),
+    "repro.cpu.result": ("RunResult",),
+    "repro.dram.organization": ("Organization",),
+    "repro.dram.standards": (
+        "StandardProfile", "profile", "profile_for_config",
+    ),
+    "repro.dram.timing": ("DDR3_1600", "TimingParameters"),
+    "repro.energy.drampower": ("PowerParameters", "energy_for_run"),
+    "repro.energy.mcpat": ("hcrac_overhead", "overhead_for_config"),
+    "repro.workloads.spec_like": ("make_trace", "WORKLOAD_NAMES"),
+    "repro.workloads.mixes": ("make_mix_traces", "MIX_NAMES"),
+})

@@ -8,17 +8,7 @@ and sense-amplification phases plus the caching-duration -> (tRCD, tRAS)
 tables the memory controller consumes.
 """
 
-from repro.circuit.cell import CellParameters, cell_voltage_after
-from repro.circuit.sense_amp import SenseAmpModel, TransientResult
-from repro.circuit.spice import bitline_transient, find_latency_pair
-from repro.circuit.latency_tables import (
-    BASELINE_TIMINGS_NS,
-    DURATION_TABLE_NS,
-    DURATION_REDUCTIONS_CYCLES,
-    reductions_for_duration_ms,
-    timings_ns_for_duration_ms,
-    nuat_bin_reductions,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CellParameters",
@@ -34,3 +24,14 @@ __all__ = [
     "timings_ns_for_duration_ms",
     "nuat_bin_reductions",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.circuit.cell": ("CellParameters", "cell_voltage_after"),
+    "repro.circuit.sense_amp": ("SenseAmpModel", "TransientResult"),
+    "repro.circuit.spice": ("bitline_transient", "find_latency_pair"),
+    "repro.circuit.latency_tables": (
+        "BASELINE_TIMINGS_NS", "DURATION_TABLE_NS",
+        "DURATION_REDUCTIONS_CYCLES", "reductions_for_duration_ms",
+        "timings_ns_for_duration_ms", "nuat_bin_reductions",
+    ),
+})

@@ -2,12 +2,7 @@
 and the command-issue engine that hosts the latency mechanisms.
 """
 
-from repro.controller.request import Request, RequestType
-from repro.controller.queues import RequestQueue
-from repro.controller.address_mapping import AddressMapper
-from repro.controller.row_policy import OpenRowPolicy, ClosedRowPolicy, make_row_policy
-from repro.controller.scheduler import FRFCFSScheduler, FCFSScheduler, make_scheduler
-from repro.controller.controller import MemoryController
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Request",
@@ -22,3 +17,16 @@ __all__ = [
     "make_scheduler",
     "MemoryController",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.controller.request": ("Request", "RequestType"),
+    "repro.controller.queues": ("RequestQueue",),
+    "repro.controller.address_mapping": ("AddressMapper",),
+    "repro.controller.row_policy": (
+        "OpenRowPolicy", "ClosedRowPolicy", "make_row_policy",
+    ),
+    "repro.controller.scheduler": (
+        "FRFCFSScheduler", "FCFSScheduler", "make_scheduler",
+    ),
+    "repro.controller.controller": ("MemoryController",),
+})

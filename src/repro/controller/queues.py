@@ -112,10 +112,6 @@ class RequestQueue:
             del self._row_count[row_key]
         self.version += 1
 
-    def requests_for_bank(self, rank: int, bank: int) -> int:
-        """Count queued requests to a specific (rank, bank)."""
-        return len(self._by_bank.get((rank, bank), ()))
-
     def requests_for_row(self, rank: int, bank: int, row: int) -> int:
         """Count queued requests to a specific (rank, bank, row)."""
         return self._row_count.get((rank, bank, row), 0)
@@ -127,10 +123,6 @@ class RequestQueue:
         lookups (the FR-FCFS scan reads one entry per open bank).
         """
         return self._row_count
-
-    def banks(self) -> Iterator[Tuple[int, int]]:
-        """The distinct (rank, bank) pairs with queued requests."""
-        return iter(self._by_bank)
 
     def bank_requests(self) -> ItemsView[Tuple[int, int], List[Request]]:
         """``((rank, bank), requests)`` per distinct queued bank, with

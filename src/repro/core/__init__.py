@@ -9,27 +9,7 @@ mechanisms it is evaluated against.
   bound (every activation uses reduced timings).
 """
 
-from repro.core.registry import (
-    MechanismContext,
-    MechanismSpec,
-    canonical_spec,
-    mechanism_names,
-    parse_mechanism_spec,
-    register_mechanism,
-)
-from repro.core.registry import build as build_mechanism_spec
-from repro.core.timing_policy import (
-    LatencyMechanism,
-    DefaultTiming,
-    CombinedMechanism,
-    build_mechanism,
-)
-from repro.core.hcrac import HCRAC, UnboundedHCRAC
-from repro.core.invalidation import PeriodicInvalidator, TimestampInvalidator
-from repro.core.aldram import ALDRAM, aldram_timings_at
-from repro.core.chargecache import ChargeCache
-from repro.core.nuat import NUAT
-from repro.core.lldram import LowLatencyDRAM
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MechanismContext",
@@ -53,3 +33,23 @@ __all__ = [
     "ALDRAM",
     "aldram_timings_at",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.registry": (
+        "MechanismContext", "MechanismSpec", "canonical_spec",
+        "mechanism_names", "parse_mechanism_spec", "register_mechanism",
+        "build_mechanism_spec=build",
+    ),
+    "repro.core.timing_policy": (
+        "LatencyMechanism", "DefaultTiming", "CombinedMechanism",
+        "build_mechanism",
+    ),
+    "repro.core.hcrac": ("HCRAC", "UnboundedHCRAC"),
+    "repro.core.invalidation": (
+        "PeriodicInvalidator", "TimestampInvalidator",
+    ),
+    "repro.core.aldram": ("ALDRAM", "aldram_timings_at"),
+    "repro.core.chargecache": ("ChargeCache",),
+    "repro.core.nuat": ("NUAT",),
+    "repro.core.lldram": ("LowLatencyDRAM",),
+})

@@ -6,10 +6,7 @@ and 8 MSHRs, a shared 4 MB LLC, and a DRAM clock domain bridged at the
 4 GHz / 800 MHz ratio.
 """
 
-from repro.cpu.trace import TraceRecord, trace_from_tuples, read_trace_file, write_trace_file
-from repro.cpu.core import Core
-from repro.cpu.cache import SharedCache
-from repro.cpu.system import System, RunResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TraceRecord",
@@ -21,3 +18,14 @@ __all__ = [
     "System",
     "RunResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cpu.trace": (
+        "TraceRecord", "trace_from_tuples", "read_trace_file",
+        "write_trace_file",
+    ),
+    "repro.cpu.core": ("Core",),
+    "repro.cpu.cache": ("SharedCache",),
+    "repro.cpu.system": ("System",),
+    "repro.cpu.result": ("RunResult",),
+})

@@ -32,95 +32,25 @@ Two clock engines share the per-cycle body (:meth:`System._step`):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.config import SimulationConfig
 from repro.controller.address_mapping import AddressMapper
 from repro.controller.controller import MemoryController
 from repro.core import registry
+from repro.core.replay import fork_for_replay
 from repro.cpu.cache import SharedCache
 from repro.cpu.core import Core
+from repro.cpu.result import RunResult
 from repro.cpu.trace import TraceRecord
 from repro.dram.organization import Organization
 from repro.dram.refresh import RefreshScheduler
+from repro.dram.standards import preset
 from repro.dram.timing import NEVER, TimingParameters
 from repro.stats.probes import CompositeProbe
 from repro.stats.reuse import RowReuseProfiler
 from repro.stats.rltl import RLTLProbe
-
-
-@dataclass
-class RunResult:
-    """Everything the harness needs from one simulation run."""
-
-    config: SimulationConfig
-    mem_cycles: int
-    cpu_cycles: int
-    instructions: List[int]
-    core_cycles: List[int]
-    ipcs: List[float]
-    llc_hit_rate: float
-    llc_load_misses: int
-    activations: int
-    act_reduced: int
-    reads: int
-    writes: int
-    refreshes: int
-    row_hit_rate: float
-    average_read_latency_cycles: float
-    mechanism_lookups: int
-    mechanism_hits: int
-    active_bank_cycles: int
-    rank_active_cycles: int = 0
-    #: Total post-warmup instructions retired by all cores, including
-    #: work done by cores that kept executing after reaching their
-    #: instruction limit (trace-loop methodology).  Use this for
-    #: iso-work comparisons such as energy per instruction.
-    work_instructions: int = 0
-    truncated: bool = False
-    rltl: Optional[RLTLProbe] = None
-    reuse: Optional[RowReuseProfiler] = None
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def mechanism_hit_rate(self) -> float:
-        if not self.mechanism_lookups:
-            return 0.0
-        return self.mechanism_hits / self.mechanism_lookups
-
-    @property
-    def total_ipc(self) -> float:
-        return sum(self.ipcs)
-
-    def rmpkc(self) -> float:
-        """Row misses (activations) per kilo CPU cycle."""
-        if self.cpu_cycles <= 0:
-            return 0.0
-        return self.activations * 1000.0 / self.cpu_cycles
-
-    def summary(self) -> str:
-        """Human-readable one-paragraph run summary."""
-        lines = [
-            f"mechanism={self.config.mechanism} "
-            f"cores={self.config.processor.num_cores} "
-            f"channels={self.config.dram.channels} "
-            f"policy={self.config.controller.row_policy}",
-            f"cycles: {self.mem_cycles} bus / {self.cpu_cycles} cpu"
-            + (" (truncated)" if self.truncated else ""),
-            f"IPC: total {self.total_ipc:.3f} "
-            f"[{', '.join(f'{i:.3f}' for i in self.ipcs)}]",
-            f"DRAM: {self.activations} ACT ({self.rmpkc():.2f} RMPKC), "
-            f"{self.reads} RD, {self.writes} WR, "
-            f"{self.refreshes} REF, row-hit {self.row_hit_rate:.0%}, "
-            f"avg read latency {self.average_read_latency_cycles:.1f} cyc",
-            f"LLC hit rate: {self.llc_hit_rate:.0%}",
-        ]
-        if self.mechanism_lookups:
-            lines.append(
-                f"mechanism: {self.mechanism_hits}/{self.mechanism_lookups}"
-                f" activations accelerated ({self.mechanism_hit_rate:.0%})")
-        return "\n".join(lines)
 
 
 def mechanism_invariant_config(config: SimulationConfig) -> SimulationConfig:
@@ -156,7 +86,6 @@ class System:
             # Resolve the configured timing grade (DDR3-1600 unless the
             # scenario names another standard); an explicit ``timing``
             # argument still wins for tests and frequency sweeps.
-            from repro.dram.standards import preset
             timing = preset(config.dram.standard)
         self.timing = timing
         self.organization = Organization.from_config(
@@ -372,6 +301,9 @@ class System:
                     "batch variants must differ only in mechanism-"
                     f"defining fields; {cfg.mechanism!r} variant "
                     "changes the shared platform")
+        # Bound per call, not at import, so that a wrapper installed
+        # on repro.core.replay (the benchmark's layer tracer) sees
+        # every replay match.
         from repro.core.replay import (
             MechanismEventLog,
             RecordingMechanism,
@@ -681,9 +613,7 @@ def _replay_mechanisms(config: SimulationConfig, channels: int,
     (unsupported, or it demands per-channel context such as NUAT's
     refresh scheduler) — the caller then runs the variant in full.
     """
-    from repro.core.replay import fork_for_replay
     if timing is None:
-        from repro.dram.standards import preset
         timing = preset(config.dram.standard)
     try:
         prototype = registry.build(

@@ -7,13 +7,7 @@ the level ChargeCache interacts with: ACT/PRE/RD/WR/REF commands gated by
 the standard inter-command timing constraints.
 """
 
-from repro.dram.commands import Command, CommandKind
-from repro.dram.timing import TimingParameters, ReducedTimings, DDR3_1600
-from repro.dram.organization import Organization, DecodedAddress
-from repro.dram.bank import Bank, BankState
-from repro.dram.rank import Rank
-from repro.dram.channel import Channel
-from repro.dram.refresh import RefreshScheduler
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Command",
@@ -29,3 +23,15 @@ __all__ = [
     "Channel",
     "RefreshScheduler",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.dram.commands": ("Command", "CommandKind"),
+    "repro.dram.timing": (
+        "TimingParameters", "ReducedTimings", "DDR3_1600",
+    ),
+    "repro.dram.organization": ("Organization", "DecodedAddress"),
+    "repro.dram.bank": ("Bank", "BankState"),
+    "repro.dram.rank": ("Rank",),
+    "repro.dram.channel": ("Channel",),
+    "repro.dram.refresh": ("RefreshScheduler",),
+})

@@ -7,24 +7,7 @@
   (the paper's McPAT substitute, Section 6.3, equations 1-2).
 """
 
-from repro.energy.drampower import (
-    DDR3PowerParameters,
-    EnergyBreakdown,
-    PowerParameters,
-    access_rate_for_run,
-    energy_components,
-    energy_for_run,
-    run_seconds,
-)
-from repro.energy.mcpat import (
-    hcrac_storage_bits,
-    hcrac_entry_bits,
-    HCRACOverhead,
-    hcrac_overhead,
-    overhead_for_config,
-    LLC_AREA_MM2_4MB_22NM,
-    LLC_POWER_W_4MB_22NM,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DDR3PowerParameters",
@@ -42,3 +25,16 @@ __all__ = [
     "LLC_AREA_MM2_4MB_22NM",
     "LLC_POWER_W_4MB_22NM",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.energy.drampower": (
+        "DDR3PowerParameters", "EnergyBreakdown", "PowerParameters",
+        "access_rate_for_run", "energy_components", "energy_for_run",
+        "run_seconds",
+    ),
+    "repro.energy.mcpat": (
+        "hcrac_storage_bits", "hcrac_entry_bits", "HCRACOverhead",
+        "hcrac_overhead", "overhead_for_config",
+        "LLC_AREA_MM2_4MB_22NM", "LLC_POWER_W_4MB_22NM",
+    ),
+})

@@ -220,7 +220,7 @@ def access_rate_for_run(result,
 def energy_for_run(result, timing: Optional[TimingParameters] = None,
                    power: Optional[PowerParameters] = None,
                    mechanism_power_w: float = 0.0) -> EnergyBreakdown:
-    """Energy breakdown for a :class:`repro.cpu.system.RunResult`.
+    """Energy breakdown for a :class:`repro.cpu.result.RunResult`.
 
     Timing and IDD parameters default to the
     :class:`~repro.dram.standards.StandardProfile` of the standard the

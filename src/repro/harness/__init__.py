@@ -5,36 +5,7 @@ Every experiment in the paper's evaluation can be regenerated with
 pytest-benchmark suite, or the ``chargecache-harness`` CLI.
 """
 
-from repro.harness.spec import RunSpec, Scale, current_scale
-from repro.harness.cache import RunCache, cache_key, code_fingerprint
-from repro.harness.pool import Sweep, SweepError, SweepPoint, execute_sweep
-from repro.harness.runner import (
-    build_config,
-    run_workload,
-    run_mix,
-    run_spec,
-    alone_ipcs_for_mix,
-    clear_caches,
-    clear_memo,
-    configure_disk_cache,
-    workload_spec,
-    mix_spec,
-    alone_spec,
-)
-from repro.harness.experiments import (
-    run_fig3,
-    run_fig4,
-    run_fig6,
-    run_table2,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_sec63,
-    run_table1,
-)
-from repro.harness.report import format_table, format_percent
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RunSpec",
@@ -72,3 +43,25 @@ __all__ = [
     "format_table",
     "format_percent",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.harness.spec": ("RunSpec", "Scale", "current_scale"),
+    "repro.harness.cache": (
+        "RunCache", "cache_key", "code_fingerprint",
+    ),
+    "repro.harness.pool": (
+        "Sweep", "SweepError", "SweepPoint", "execute_sweep",
+    ),
+    "repro.harness.runner": (
+        "build_config", "run_workload", "run_mix", "run_spec",
+        "alone_ipcs_for_mix", "clear_caches", "clear_memo",
+        "configure_disk_cache", "workload_spec", "mix_spec",
+        "alone_spec",
+    ),
+    "repro.harness.experiments": (
+        "run_fig3", "run_fig4", "run_fig6", "run_table2", "run_fig7",
+        "run_fig8", "run_fig9", "run_fig10", "run_fig11", "run_sec63",
+        "run_table1",
+    ),
+    "repro.harness.report": ("format_table", "format_percent"),
+})

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.harness import cache as run_cache
 from repro.harness.spec import RunSpec, spec_from_payload
 

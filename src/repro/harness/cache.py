@@ -2,7 +2,7 @@
 
 Simulation results are pure functions of (spec, code): a
 :class:`~repro.harness.spec.RunSpec` plus the exact simulator sources
-determines every counter in the :class:`~repro.cpu.system.RunResult`
+determines every counter in the :class:`~repro.cpu.result.RunResult`
 bit for bit (the engine-parity suite enforces this).  That makes runs
 safe to memoise *across processes*: this module stores each result as
 versioned JSON under a cache directory keyed by
@@ -61,7 +61,7 @@ from repro.config import (
     ProcessorConfig,
     SimulationConfig,
 )
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.harness.spec import RunSpec
 from repro.stats.reuse import RowReuseProfiler
 from repro.stats.rltl import RLTLProbe
@@ -389,10 +389,14 @@ class RunCache:
     def put_envelope(self, key: str, envelope: Dict) -> str:
         """Atomically write a ready-made envelope; returns the path.
 
-        ``json.dump`` of a ``json.load``-ed dict reproduces the source
+        ``json.dumps`` of a ``json.load``-ed dict reproduces the source
         bytes (insertion order and float repr round-trip), so
         replicating an envelope between directories through this
-        method preserves content-hash identity of the files.
+        method preserves content-hash identity of the files.  It is
+        written with one ``json.dumps`` (the same bytes) rather than
+        streamed by ``json.dump``, which always takes the pure-Python
+        encoder and leaves that encoder's reference cycles behind on
+        every store.
         """
         if envelope.get("schema") != SCHEMA_VERSION:
             raise ValueError(
@@ -408,7 +412,7 @@ class RunCache:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                json.dump(envelope, fh)
+                fh.write(json.dumps(envelope))
                 # Durability before visibility: os.replace is atomic
                 # for readers, but without an fsync a crash/power-loss
                 # can persist the rename while the data blocks are

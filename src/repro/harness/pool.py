@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.harness import cache as run_cache
 from repro.harness import runner
 from repro.harness import store as run_store
@@ -387,6 +387,11 @@ def _run_parallel(pending: Sequence[RunSpec], jobs: int,
     """
     units = _batch_groups(pending) if batch \
         else [[spec] for spec in pending]
+    # Workers fork from this process: load the engine and trace
+    # synthesis (with numpy) once here, so no worker of any sweep
+    # imports them again.
+    import repro.cpu.system  # noqa: F401
+    import repro.workloads.synthetic  # noqa: F401
     try:
         from concurrent.futures import FIRST_COMPLETED, \
             ProcessPoolExecutor, wait

@@ -33,7 +33,7 @@ from repro.config import (
     eight_core_config,
     single_core_config,
 )
-from repro.cpu.system import RunResult, System
+from repro.cpu.result import RunResult
 from repro.dram.organization import Organization
 from repro.harness import cache as run_cache
 from repro.harness import store as run_store
@@ -486,6 +486,7 @@ def _spec_rltl(spec: RunSpec) -> Tuple[bool, float]:
 
 def _execute_spec(spec: RunSpec) -> RunResult:
     """Actually simulate one spec (no caching)."""
+    from repro.cpu.system import System
     cfg = _spec_config(spec)
     enable_rltl, rltl_time_scale = _spec_rltl(spec)
     system = System(cfg, _spec_traces(spec, cfg),
@@ -512,6 +513,7 @@ def run_spec_batch(specs: Iterable[RunSpec],
     each spec's own, unchanged cache key — a later serial run of any
     member is a plain cache hit.
     """
+    from repro.cpu.system import System
     from repro.harness.spec import batch_signature
     specs = list(specs)
     if not specs:

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.harness import cache as run_cache
 from repro.harness.cache import GCReport, RunCache
 from repro.harness.spec import RunSpec
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 
 
 class ResultStore(abc.ABC):

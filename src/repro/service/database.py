@@ -41,7 +41,7 @@ import sqlite3
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.system import RunResult
+from repro.cpu.result import RunResult
 from repro.harness import cache as run_cache
 from repro.harness.cache import RunCache
 from repro.harness.spec import RunSpec, spec_from_payload

@@ -1,16 +1,6 @@
 """Statistics: counters, the RLTL profiler and evaluation metrics."""
 
-from repro.stats.collector import StatsCollector
-from repro.stats.probes import CompositeProbe
-from repro.stats.reuse import RowReuseProfiler
-from repro.stats.rltl import RLTLProbe, RLTL_INTERVALS_MS
-from repro.stats.metrics import (
-    ipc,
-    weighted_speedup,
-    speedup,
-    rmpkc,
-    geometric_mean,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "StatsCollector",
@@ -24,3 +14,13 @@ __all__ = [
     "rmpkc",
     "geometric_mean",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.stats.collector": ("StatsCollector",),
+    "repro.stats.probes": ("CompositeProbe",),
+    "repro.stats.reuse": ("RowReuseProfiler",),
+    "repro.stats.rltl": ("RLTLProbe", "RLTL_INTERVALS_MS"),
+    "repro.stats.metrics": (
+        "ipc", "weighted_speedup", "speedup", "rmpkc", "geometric_mean",
+    ),
+})

@@ -7,9 +7,8 @@ seeded so w1..w20 are stable across runs and machines.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterator, List
-
-import numpy as np
 
 from repro.cpu.trace import TraceRecord
 from repro.workloads.spec_like import WORKLOAD_NAMES, make_trace
@@ -20,7 +19,11 @@ MIX_SEED = 2016  # the paper's publication year, for memorability
 MIX_NAMES = tuple(f"w{i}" for i in range(1, 21))
 
 
+@functools.lru_cache(maxsize=None)
 def _compositions(num_cores: int = 8) -> Dict[str, List[str]]:
+    """Drawn on first use, so importing this module does not load
+    numpy; callers copy what they hand out."""
+    import numpy as np
     rng = np.random.default_rng(MIX_SEED)
     names = list(WORKLOAD_NAMES)
     mixes = {}
@@ -30,13 +33,10 @@ def _compositions(num_cores: int = 8) -> Dict[str, List[str]]:
     return mixes
 
 
-_COMPOSITIONS = _compositions()
-
-
 def mix_composition(mix: str) -> List[str]:
     """The 8 workload names assigned to the cores of ``mix``."""
     try:
-        return list(_COMPOSITIONS[mix])
+        return list(_compositions()[mix])
     except KeyError:
         raise KeyError(
             f"unknown mix {mix!r}; known: {MIX_NAMES}") from None
@@ -57,4 +57,4 @@ def make_mix_traces(mix: str, org, seed: int = 1
 
 def all_compositions() -> Dict[str, List[str]]:
     """Mapping of every mix to its application list (for reports)."""
-    return {mix: list(apps) for mix, apps in _COMPOSITIONS.items()}
+    return {mix: list(apps) for mix, apps in _compositions().items()}

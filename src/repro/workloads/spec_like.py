@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
 from repro.cpu.trace import TraceRecord
-from repro.workloads import synthetic
 
 MB = 1024 * 1024
 
@@ -52,6 +51,9 @@ class WorkloadProfile:
 
     def build(self, org, seed: int) -> Iterator[TraceRecord]:
         """Instantiate the infinite trace for a DRAM organization."""
+        # Trace synthesis is the first user of numpy; importing it here
+        # keeps numpy out of every process that never draws a trace.
+        from repro.workloads import synthetic
         if self.pattern == "stream":
             return synthetic.stream_trace(
                 org, self.footprint_bytes, self.mean_bubbles, seed,

@@ -63,3 +63,10 @@ class TestDeterminismFixture:
         # Everything intended, nothing else: 9 bad sites + 3 sites
         # whose pragmas are invalid (unjustified/unknown/malformed).
         assert len(self.determinism) == 12
+
+
+def test_deferred_numpy_import_is_still_resolved():
+    assert lint_fixture("det_deferred.py") == [
+        (11, "determinism",
+         "numpy.random.default_rng() without an explicit seed is "
+         "nondeterministic; pass a seed derived from the spec")]

@@ -1,6 +1,8 @@
 """Tests for the persistent content-addressed run cache."""
 
 import dataclasses
+import gc
+import io
 import json
 import os
 import subprocess
@@ -287,6 +289,46 @@ class TestPutDurability:
         key = cache_key(SPEC)
         store.put(key, SPEC, result)   # must not raise
         assert store.get(key) is not None
+
+
+class TestPutEncoding:
+    """``put`` encodes the envelope with ``json.dumps``: the bytes
+    ``json.dump`` would stream, without the reference cycles the
+    pure-Python encoder that ``json.dump`` always takes leaves behind."""
+
+    def test_bytes_match_json_dump(self, tmp_path):
+        store = RunCache(str(tmp_path))
+        result = runner._execute_spec(SPEC)
+        key = cache_key(SPEC)
+        path = store.put(key, SPEC, result)
+        expected = io.StringIO()
+        json.dump({"schema": cache.SCHEMA_VERSION, "key": key,
+                   "fingerprint": code_fingerprint(),
+                   "spec": SPEC.key_payload(),
+                   "result": result_to_json(result)}, expected)
+        with open(path, encoding="ascii") as fh:
+            assert fh.read() == expected.getvalue()
+
+    def test_puts_leave_no_encoder_garbage(self, tmp_path):
+        store = RunCache(str(tmp_path))
+        result = runner._execute_spec(SPEC)
+        key = cache_key(SPEC)
+        was_enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(10):
+                store.put(key, SPEC, result)
+            gc.collect()
+            leaked = [obj for obj in gc.garbage
+                      if getattr(obj, "__module__", None) == "json.encoder"]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert leaked == []
 
 
 class TestReadThrough:

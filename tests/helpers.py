@@ -7,8 +7,9 @@ from scratch with its own bookkeeping, so a bug in the simulator's
 enforcement cannot hide itself.
 
 :func:`reference_frfcfs_choose` / :func:`reference_frfcfs_next_ready`
-are the simulator's original FR-FCFS request walk, kept verbatim as
-the oracle for the per-bank scan that replaced it.
+are the simulator's original FR-FCFS request walk, kept as the oracle
+for the per-bank scan that replaced it; the bound reads the queue's
+banks through ``RequestQueue.bank_requests``, the view the scan uses.
 
 :func:`tiny_trace` / :func:`write_trace` factor the repeated "build a
 small deterministic trace, write it, ingest it" dance out of the
@@ -119,7 +120,7 @@ def reference_frfcfs_next_ready(queue, channel, cycle: int,
     """
     best = NEVER
     col_cmd = None
-    for rank, bank in queue.banks():
+    for (rank, bank), requests in queue.bank_requests():
         if rank in blocked_ranks:
             continue  # reserved for refresh; refresh wake-ups cover it
         open_row = channel.bank(rank, bank).open_row
@@ -135,7 +136,7 @@ def reference_frfcfs_next_ready(queue, channel, cycle: int,
                 t = channel.earliest(col_cmd, rank, bank)
             else:
                 t = NEVER
-            if hits < queue.requests_for_bank(rank, bank):
+            if hits < len(requests):
                 t_pre = channel.earliest(Command.PRE, rank, bank)
                 if t_pre < t:
                     t = t_pre
